@@ -21,7 +21,6 @@ from .cayley import (
     FiniteQuasigroup,
     OutOfRange,
     RowDuplicate,
-    TableFormatError,
     parse_table_text,
 )
 from .characters import (
@@ -33,16 +32,13 @@ from .characters import (
     trivial_character,
 )
 from .identities import (
-    ParseError,
     UnknownIdentityError,
-    VariableLimitExceeded,
     builtin_identity,
     check_identity,
     parse_identity,
     pretty,
 )
 from .kunen import kunen_scan, modular_scan
-from .latin import OrderTooLarge
 from .measures import NoPositiveSolution, solve_quasi_invariant
 from .permgroup import lmlt, mlt, rmlt
 from .reports import UnknownReportKind, validate_report
@@ -276,6 +272,8 @@ def _cmd_axb(args) -> int:
 def _cmd_kunen_scan(args) -> int:
     mode = "sample" if args.sample is not None else "full"
     if args.modular:
+        if args.counterexample_dir is not None:
+            raise ValueError("--counterexample-dir does not apply to --modular")
         rep = modular_scan(
             args.order,
             mode=mode,
@@ -283,6 +281,8 @@ def _cmd_kunen_scan(args) -> int:
             seed=args.seed,
             allow_n6=args.allow_n6,
             identity_name=args.builtin,
+            jobs=args.jobs,
+            checkpoint=args.checkpoint,
         )
         doc = rep.to_dict()
         _write_json(args, doc)
@@ -343,10 +343,16 @@ def _cmd_report_validate(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write machine JSON report here")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
     common.add_argument("--quiet", action="store_true", help="suppress human output")
 
     parser = argparse.ArgumentParser(
@@ -417,6 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sample", type=int, metavar="K", help="K seeded random squares")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-n6", action="store_true", help="permit the full order-6 scan")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes for a full scan"
+    )
     p.add_argument("--checkpoint", metavar="FILE", help="resumable per-first-row tallies")
     p.add_argument("--counterexample-dir", metavar="DIR", default=None)
     p.add_argument("--builtin", default="N1", help="identity from the builtin catalog")
@@ -441,28 +450,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TableFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CayleyError as exc:
         print(f"error: invalid table: {exc}", file=sys.stderr)
         return 2
-    except (
-        ParseError,
-        UnknownIdentityError,
-        VariableLimitExceeded,
-        OrderTooLarge,
-        CapExceeded,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # file errors, TableFormatError, ParseError, VariableLimitExceeded and
+    # OrderTooLarge are OSErrors or ValueErrors
+    except (OSError, ValueError, UnknownIdentityError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,12 @@ satisfies the identity without being a loop would be a counterexample
 and is dumped in full as a Cayley table text file (this is expected to
 never happen).
 
-Full scans partition the enumeration tree by first row, so work splits
-across processes and reports merge deterministically in lexicographic
-first-row order.  A JSON checkpoint file records per-first-row tallies,
-letting an interrupted scan resume without recounting.
+Both the loop scan and the modular (measure) scan run through one
+driver that differs only in its per-square visitor.  Full scans
+partition the enumeration tree by first row, so work splits across
+processes and reports merge deterministically in lexicographic first-row
+order.  A JSON checkpoint file records per-first-row results as each row
+finishes, letting an interrupted scan resume without recounting.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 
 from .cayley import FiniteQuasigroup, format_table_text
@@ -108,110 +112,139 @@ class ModularScanReport:
         }
 
 
-def _check_order(n: int, mode: str, allow_n6: bool):
+def _visit_loop(identity, counts, counterexamples, square):
+    """Loop scan: tally (N1), loops and both; keep (N1)-satisfying non-loops."""
+    q = FiniteQuasigroup(square)
+    n1 = check_identity(q, identity).holds
+    loop = q.is_loop()
+    if n1 or loop:  # rare: most squares touch no counter
+        counts["n1"] += n1
+        counts["loop"] += loop
+        counts["n1_loop"] += n1 and loop
+        if n1 and not loop:
+            counterexamples.append(square)
+
+
+def _visit_modular(identity, counts, counterexamples, square):
+    """Modular scan: solve the invariant measure of every (N1)-satisfier."""
+    q = FiniteQuasigroup(square)
+    if not check_identity(q, identity).holds:
+        return
+    counts["n1"] += 1
+    solution = solve_quasi_invariant(q)
+    counts["trivial"] += (
+        solution.left_cocycle.is_trivial() and solution.right_cocycle.is_trivial()
+    )
+    counts["dimension_one"] += solution.dimension == 1
+
+
+_VISITORS = {"kunen": _visit_loop, "modular": _visit_modular}
+
+
+def _run_unit(args) -> tuple:
+    """Visit one work unit: the squares with one first row, or the sample.
+
+    Returns the unit and its result, a JSON-ready dict of counts plus the
+    counterexample tables, so results merge by addition.
+    """
+    visit, identity_text, n, first_row, sample = args
+    counts, counterexamples = Counter(), []
+    emit = partial(visit, parse_identity(identity_text), counts, counterexamples)
+    if first_row is None:
+        squares = sample_latin_squares(n, *sample)
+        for square in squares:
+            emit(square)
+        total = len(squares)
+    else:
+        total = enumerate_with_first_row(n, first_row, emit)
+    return first_row, {"total": total, **counts, "counterexamples": counterexamples}
+
+
+def _unit_key(first_row) -> str:
+    return "sample" if first_row is None else ",".join(str(v) for v in first_row)
+
+
+def _load_checkpoint(path: str | None, header: dict) -> dict:
+    """Completed units of a checkpoint written for exactly this scan."""
+    if path and os.path.exists(path):
+        with open(path) as fh:
+            data = json.load(fh)
+        if all(data.get(k) == v for k, v in header.items()):
+            return data.get("completed", {})
+    return {}
+
+
+def _write_checkpoint(path: str, header: dict, completed: dict):
+    # write-then-rename, so an interrupted write never leaves a torn file
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump({**header, "completed": completed}, fh)
+    os.replace(tmp, path)
+
+
+def _scan(
+    n: int,
+    kind: str,
+    mode: str,
+    sample_size: int,
+    seed: int,
+    allow_n6: bool,
+    identity_text: str,
+    jobs: int,
+    checkpoint: str | None,
+) -> tuple[Counter, list]:
+    """Run the kind's visitor over every square; return counts and counterexamples.
+
+    Work units are first rows in full mode and the whole seeded sample in
+    sample mode.  Each finished unit is recorded to the checkpoint at
+    once; results merge in lexicographic first-row order.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if mode == "full":
         if n > FULL_ENUMERATION_LIMIT:
             raise OrderTooLarge(n, FULL_ENUMERATION_LIMIT)
         if n > FULL_SCAN_DEFAULT_LIMIT and not allow_n6:
             raise OrderTooLarge(n, FULL_SCAN_DEFAULT_LIMIT)
-
-
-class _Tally:
-    __slots__ = ("total", "n1", "loop", "n1_loop", "counterexamples")
-
-    def __init__(self):
-        self.total = 0
-        self.n1 = 0
-        self.loop = 0
-        self.n1_loop = 0
-        self.counterexamples = []
-
-    def add_square(self, square, identity):
-        self.total += 1
-        q = FiniteQuasigroup(square)
-        n1 = check_identity(q, identity).holds
-        loop = q.is_loop()
-        if n1:
-            self.n1 += 1
-        if loop:
-            self.loop += 1
-        if n1 and loop:
-            self.n1_loop += 1
-        if n1 and not loop:
-            self.counterexamples.append(square)
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "n1": self.n1,
-            "loop": self.loop,
-            "n1_loop": self.n1_loop,
-            "counterexamples": [
-                [list(row) for row in square] for square in self.counterexamples
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Tally":
-        t = cls()
-        t.total = d["total"]
-        t.n1 = d["n1"]
-        t.loop = d["loop"]
-        t.n1_loop = d["n1_loop"]
-        t.counterexamples = [
-            tuple(tuple(row) for row in square) for square in d["counterexamples"]
-        ]
-        return t
-
-    def merge(self, other: "_Tally"):
-        self.total += other.total
-        self.n1 += other.n1
-        self.loop += other.loop
-        self.n1_loop += other.n1_loop
-        self.counterexamples.extend(other.counterexamples)
-
-
-def _scan_one_first_row(args) -> dict:
-    n, row, identity_text = args
-    identity = parse_identity(identity_text)
-    tally = _Tally()
-    enumerate_with_first_row(n, row, lambda sq: tally.add_square(sq, identity))
-    return tally.to_dict()
-
-
-class _Checkpoint:
-    """Per-first-row tallies on disk, keyed by the comma-joined row."""
-
-    def __init__(self, path: str | None, order: int, identity_name: str):
-        self.path = path
-        self.order = order
-        self.identity_name = identity_name
-        self.completed: dict[str, dict] = {}
-        if path and os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            if data.get("order") == order and data.get("identity") == identity_name:
-                self.completed = data.get("completed", {})
-
-    @staticmethod
-    def key(row) -> str:
-        return ",".join(str(v) for v in row)
-
-    def record(self, row, tally_dict: dict):
-        if self.path is None:
-            return
-        self.completed[self.key(row)] = tally_dict
-        with open(self.path, "w") as fh:
-            json.dump(
-                {
-                    "order": self.order,
-                    "identity": self.identity_name,
-                    "completed": self.completed,
-                },
-                fh,
+        units = list(first_rows(n))
+    elif mode == "sample":
+        if checkpoint is not None or jobs > 1:
+            raise ValueError(
+                "a sample scan is a single unit of work: it takes neither a "
+                "checkpoint nor more than one job"
             )
+        units = [None]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    header = {"order": n, "identity": identity_text, "kind": kind}
+    completed = _load_checkpoint(checkpoint, header)
+    pending = [
+        (_VISITORS[kind], identity_text, n, unit, (sample_size, seed))
+        for unit in units
+        if _unit_key(unit) not in completed
+    ]
+
+    def record(finished):
+        for unit, result in finished:
+            completed[_unit_key(unit)] = result
+            if checkpoint is not None:
+                _write_checkpoint(checkpoint, header, completed)
+
+    if jobs > 1 and pending:
+        with Pool(processes=jobs) as pool:
+            record(pool.imap_unordered(_run_unit, pending))
+    else:
+        record(map(_run_unit, pending))
+
+    counts, counterexamples = Counter(), []
+    for unit in units:
+        result = dict(completed[_unit_key(unit)])
+        counterexamples += result.pop("counterexamples")
+        counts.update(result)
+    return counts, counterexamples
 
 
 def _dump_counterexamples(squares, order: int, directory: str | None, identity_name: str):
@@ -222,7 +255,7 @@ def _dump_counterexamples(squares, order: int, directory: str | None, identity_n
         path = os.path.join(
             directory, f"counterexample_{identity_name}_order{order}_{i}.tbl"
         )
-        q = FiniteQuasigroup(square)
+        q = FiniteQuasigroup(tuple(tuple(row) for row in square))
         comment = (
             f"satisfies builtin identity {identity_name} but has no "
             "two-sided identity element"
@@ -247,72 +280,36 @@ def kunen_scan(
     """Scan all (or sampled) order-n Latin squares for the Kunen property.
 
     mode "full" enumerates exhaustively (n <= 5 unless allow_n6; n = 6 is
-    ~8.1e8 squares).  mode "sample" draws sample_size seeded squares.
-    identity_name picks the identity from the builtin catalog, so the
-    scan can be repeated with e.g. the classical left Moufang identity.
+    ~8.1e8 squares).  mode "sample" draws sample_size seeded squares and
+    takes neither jobs > 1 nor a checkpoint.  identity_name picks the
+    identity from the builtin catalog, so the scan can be repeated with
+    e.g. the classical left Moufang identity.
     """
-    _check_order(n, mode, allow_n6)
-    identity = builtin_identity(identity_name)
-    identity_text = pretty(identity)
     start = time.perf_counter()
-    tally = _Tally()
-
-    if mode == "full":
-        ckpt = _Checkpoint(checkpoint, n, identity_name)
-        rows = list(first_rows(n))
-        pending = [r for r in rows if _Checkpoint.key(r) not in ckpt.completed]
-        for r in rows:
-            key = _Checkpoint.key(r)
-            if key in ckpt.completed:
-                tally.merge(_Tally.from_dict(ckpt.completed[key]))
-        results: dict[tuple, dict] = {}
-        if jobs > 1 and pending:
-            args = [(n, r, identity_text) for r in pending]
-            with Pool(processes=jobs) as pool:
-                for r, result in zip(pending, pool.imap(_scan_one_first_row, args)):
-                    results[r] = result
-        else:
-            for r in pending:
-                results[r] = _scan_one_first_row((n, r, identity_text))
-        # merge in lexicographic first-row order for determinism
-        for r in rows:
-            if r in results:
-                tally.merge(_Tally.from_dict(results[r]))
-                ckpt.record(r, results[r])
-        report_mode = "full"
-        used_sample_size = None
-        used_seed = None
-    elif mode == "sample":
-        for square in sample_latin_squares(n, sample_size, seed):
-            tally.add_square(square, identity)
-        report_mode = "sample"
-        used_sample_size = sample_size
-        used_seed = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    identity_text = pretty(builtin_identity(identity_name))
+    counts, counterexamples = _scan(
+        n, "kunen", mode, sample_size, seed, allow_n6, identity_text, jobs, checkpoint
+    )
     files = ()
-    if tally.counterexamples:
+    if counterexamples:
         files = tuple(
-            _dump_counterexamples(
-                tally.counterexamples, n, counterexample_dir, identity_name
-            )
+            _dump_counterexamples(counterexamples, n, counterexample_dir, identity_name)
         )
-    elapsed = time.perf_counter() - start
+    sampled = mode == "sample"
     return ScanReport(
         order=n,
-        mode=report_mode,
-        total_squares=tally.total,
-        n1_count=tally.n1,
-        n1_loop_count=tally.n1_loop,
-        loop_count=tally.loop,
-        loops_failing_n1=tally.loop - tally.n1_loop,
-        elapsed=elapsed,
+        mode=mode,
+        total_squares=counts["total"],
+        n1_count=counts["n1"],
+        n1_loop_count=counts["n1_loop"],
+        loop_count=counts["loop"],
+        loops_failing_n1=counts["loop"] - counts["n1_loop"],
+        elapsed=time.perf_counter() - start,
         identity_name=identity_name,
-        kunen_holds=tally.n1 == tally.n1_loop and not tally.counterexamples,
+        kunen_holds=counts["n1"] == counts["n1_loop"] and not counterexamples,
         counterexample_files=files,
-        sample_size=used_sample_size,
-        seed=used_seed,
+        sample_size=sample_size if sampled else None,
+        seed=seed if sampled else None,
         jobs=jobs,
     )
 
@@ -324,58 +321,31 @@ def modular_scan(
     seed: int = 0,
     allow_n6: bool = False,
     identity_name: str = "N1",
+    jobs: int = 1,
+    checkpoint: str | None = None,
 ) -> ModularScanReport:
     """For each identity-satisfying square, confirm trivial cocycles.
 
     Runs solve_quasi_invariant on every (N1)-satisfier and records that
     the solved j and rho are identically 1 with a one-dimensional
     invariant measure space: the finite instance of cocycle collapse.
+    jobs and checkpoint work as in kunen_scan.
     """
-    _check_order(n, mode, allow_n6)
-    identity = builtin_identity(identity_name)
     start = time.perf_counter()
-
-    total = 0
-    n1_count = 0
-    trivial = 0
-    dimension_one = 0
-
-    def visit(square):
-        nonlocal total, n1_count, trivial, dimension_one
-        total += 1
-        q = FiniteQuasigroup(square)
-        if not check_identity(q, identity).holds:
-            return
-        n1_count += 1
-        solution = solve_quasi_invariant(q)
-        if solution.left_cocycle.is_trivial() and solution.right_cocycle.is_trivial():
-            trivial += 1
-        if solution.dimension == 1:
-            dimension_one += 1
-
-    if mode == "full":
-        for row in first_rows(n):
-            enumerate_with_first_row(n, row, visit)
-        used_sample_size = None
-        used_seed = None
-    elif mode == "sample":
-        for square in sample_latin_squares(n, sample_size, seed):
-            visit(square)
-        used_sample_size = sample_size
-        used_seed = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    elapsed = time.perf_counter() - start
+    identity_text = pretty(builtin_identity(identity_name))
+    counts, _ = _scan(
+        n, "modular", mode, sample_size, seed, allow_n6, identity_text, jobs, checkpoint
+    )
+    sampled = mode == "sample"
     return ModularScanReport(
         order=n,
         mode=mode,
-        total_squares=total,
-        n1_count=n1_count,
-        trivial_cocycle_count=trivial,
-        all_trivial=trivial == n1_count,
-        dimension_one_count=dimension_one,
-        elapsed=elapsed,
-        sample_size=used_sample_size,
-        seed=used_seed,
+        total_squares=counts["total"],
+        n1_count=counts["n1"],
+        trivial_cocycle_count=counts["trivial"],
+        all_trivial=counts["trivial"] == counts["n1"],
+        dimension_one_count=counts["dimension_one"],
+        elapsed=time.perf_counter() - start,
+        sample_size=sample_size if sampled else None,
+        seed=seed if sampled else None,
     )

@@ -41,12 +41,7 @@ def enumerate_latin_squares(n: int, emit=None) -> int:
         raise ValueError("order must be >= 1")
     if n > FULL_ENUMERATION_LIMIT:
         raise OrderTooLarge(n, FULL_ENUMERATION_LIMIT)
-    count = 0
-    for square in _backtrack(n, first_row=None, rng=None):
-        count += 1
-        if emit is not None:
-            emit(square)
-    return count
+    return sum(enumerate_with_first_row(n, row, emit) for row in first_rows(n))
 
 
 def first_rows(n: int):

@@ -24,6 +24,20 @@ class ElementCapExceeded(RuntimeError):
         super().__init__(f"group has more than {cap} elements")
 
 
+def _strip(g: tuple, base, transversals):
+    """Sift g down the stabilizer chain.
+
+    Returns the residue and the level where sifting stopped; g is a
+    member exactly when the residue is the identity at level len(base).
+    """
+    for i, b in enumerate(base):
+        t = transversals[i].get(g[b])
+        if t is None:
+            return g, i
+        g = compose_images(invert_images(t), g)
+    return g, len(base)
+
+
 def _build_bsgs(gens: list[tuple], degree: int):
     identity = tuple(range(degree))
     seen = set()
@@ -64,15 +78,6 @@ def _build_bsgs(gens: list[tuple], degree: int):
         transversals[i] = trans
         return queue
 
-    def strip(g: tuple):
-        for i in range(len(base)):
-            x = g[base[i]]
-            t = transversals[i].get(x)
-            if t is None:
-                return g, i
-            g = compose_images(invert_images(t), g)
-        return g, len(base)
-
     for level in range(len(base)):
         recompute_transversal(level)
 
@@ -87,7 +92,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
                 sg = compose_images(invert_images(trans[s[pt]]), compose_images(s, u))
                 if sg == identity:
                     continue
-                residue, j = strip(sg)
+                residue, j = _strip(sg, base, transversals)
                 if residue == identity:
                     continue
                 if j == len(base):
@@ -115,7 +120,7 @@ class PermGroup:
     """Immutable once generate() returns; queries are read-only."""
 
     __slots__ = ("degree", "generators", "base", "strong_generators", "order",
-                 "_transversals", "_base_list")
+                 "_transversals")
 
     def __init__(self, degree, generators, base, level_gens, transversals, order):
         self.degree = degree
@@ -131,24 +136,13 @@ class PermGroup:
         self.strong_generators = tuple(strong)
         self.order = order
         self._transversals = tuple(transversals)
-        self._base_list = tuple(base)
-
-    def _strip(self, images: tuple):
-        g = images
-        identity = tuple(range(self.degree))
-        for i, b in enumerate(self._base_list):
-            t = self._transversals[i].get(g[b])
-            if t is None:
-                return g, i
-            g = compose_images(invert_images(t), g)
-        return g, len(self._base_list)
 
     def membership(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(
                 f"permutation degree {p.degree} != group degree {self.degree}"
             )
-        residue, _ = self._strip(p.images)
+        residue, _ = _strip(p.images, self.base, self._transversals)
         return residue == tuple(range(self.degree))
 
     def __contains__(self, p: Perm) -> bool:

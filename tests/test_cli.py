@@ -279,6 +279,12 @@ def test_kunen_scan_sample_and_limits(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
     assert main(["kunen-scan", "--order", "7", "--allow-n6"]) == 2
     capsys.readouterr()
+    # a sample is one unit of work: no checkpoint, no parallel workers
+    ignored = str(tmp_path / "ignored.json")
+    for extra in (["--checkpoint", ignored], ["--jobs", "2"]):
+        assert main(["kunen-scan", "--order", "5", "--sample", "5"] + extra) == 2
+        assert "sample scan" in capsys.readouterr().err
+    assert not (tmp_path / "ignored.json").exists()
 
 
 def test_kunen_scan_modular(tmp_path, capsys):
@@ -288,6 +294,28 @@ def test_kunen_scan_modular(tmp_path, capsys):
     doc = _load_report(out)
     assert doc["kind"] == "modular-scan"
     assert doc["all_trivial"]
+
+    # --jobs and --checkpoint are honoured, with the serial counts
+    serial = str(tmp_path / "serial4.json")
+    parallel = str(tmp_path / "parallel4.json")
+    checkpoint = tmp_path / "mod.ckpt"
+    assert main(["kunen-scan", "--order", "4", "--modular", "--json", serial]) == 0
+    argv = ["kunen-scan", "--order", "4", "--modular", "--jobs", "2",
+            "--checkpoint", str(checkpoint), "--json", parallel]
+    assert main(argv) == 0
+    capsys.readouterr()
+    counts = ["total_squares", "n1_count", "trivial_cocycle_count", "dimension_one_count"]
+    assert [_load_report(parallel)[k] for k in counts] == [
+        _load_report(serial)[k] for k in counts
+    ]
+    assert len(json.loads(checkpoint.read_text())["completed"]) == 24
+
+    # the modular scan dumps no tables, so asking for them is refused
+    dumps = tmp_path / "dumps"
+    argv = ["kunen-scan", "--order", "3", "--modular", "--counterexample-dir", str(dumps)]
+    assert main(argv) == 2
+    assert "--counterexample-dir" in capsys.readouterr().err
+    assert not dumps.exists()
 
 
 def test_report_validate_round_trip(tables, tmp_path, capsys):
@@ -326,8 +354,15 @@ def test_quiet_suppresses_human_output(tables, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_missing_subcommand_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+def test_missing_subcommand_is_a_usage_error(tables, capsys):
+    # so are --jobs where no work is parallel, and a job count below 1
+    for argv in (
+        [],
+        ["validate", "--table", tables["z3"], "--jobs", "4"],
+        ["kunen-scan", "--order", "3", "--jobs", "0"],
+        ["kunen-scan", "--order", "3", "--jobs", "-1"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
     capsys.readouterr()

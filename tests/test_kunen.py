@@ -5,8 +5,14 @@ import os
 
 import pytest
 
+from quasilab import kunen
 from quasilab.cayley import parse_table_text
-from quasilab.identities import UnknownIdentityError, builtin_identity, check_identity
+from quasilab.identities import (
+    UnknownIdentityError,
+    builtin_identity,
+    check_identity,
+    pretty,
+)
 from quasilab.kunen import kunen_scan, modular_scan
 from quasilab.latin import OrderTooLarge
 from quasilab.reports import validate_report
@@ -60,6 +66,13 @@ def test_order_limits():
         kunen_scan(0)
     with pytest.raises(ValueError):
         kunen_scan(3, mode="exhaustive")
+    for bad in ({"jobs": 0}, {"jobs": -1}):
+        with pytest.raises(ValueError):
+            kunen_scan(3, **bad)
+    # a sample is one unit of work: parallelism and checkpoints are refused
+    for bad in ({"jobs": 2}, {"checkpoint": "unused.json"}):
+        with pytest.raises(ValueError):
+            kunen_scan(5, mode="sample", sample_size=5, **bad)
     # sampling at order 6 needs no flag
     r = kunen_scan(6, mode="sample", sample_size=5, seed=0)
     assert r.total_squares == 5
@@ -93,38 +106,98 @@ def test_moufang_left_scan_also_forces_loops():
     assert r.identity_name == "moufang_left"
 
 
-def test_checkpoint_round_trip(tmp_path):
+N1_TEXT = pretty(builtin_identity("N1"))
+RUN_UNIT = kunen._run_unit
+
+
+def _count_units(monkeypatch, fail_after=None):
+    """Wrap the scan's unit function; optionally interrupt after k units."""
+    calls = []
+
+    def counting(args):
+        if len(calls) == fail_after:
+            raise KeyboardInterrupt
+        calls.append(args[3])
+        return RUN_UNIT(args)
+
+    monkeypatch.setattr(kunen, "_run_unit", counting)
+    return calls
+
+
+def _fields(report) -> dict:
+    doc = report.to_dict()
+    del doc["elapsed"]
+    return doc
+
+
+def test_checkpoint_round_trip(tmp_path, monkeypatch):
     path = str(tmp_path / "scan4.json")
     first = kunen_scan(4, checkpoint=path)
     with open(path) as fh:
         data = json.load(fh)
     assert data["order"] == 4
-    assert data["identity"] == "N1"
+    assert data["identity"] == N1_TEXT
+    assert data["kind"] == "kunen"
     assert len(data["completed"]) == 24  # one entry per first row
+    assert data["completed"]["0,1,2,3"]["total"] == 24
+    assert sum(entry["total"] for entry in data["completed"].values()) == 576
 
     # full resume: everything comes from the checkpoint
+    calls = _count_units(monkeypatch)
     resumed = kunen_scan(4, checkpoint=path)
-    assert resumed.total_squares == first.total_squares
-    assert resumed.n1_count == first.n1_count
+    assert calls == []
+    assert _fields(resumed) == _fields(first)
 
-    # partial resume: drop half the entries, tallies must still match
+    # partial resume: drop half the entries, only those rows are rescanned
     dropped = dict(list(data["completed"].items())[::2])
     with open(path, "w") as fh:
-        json.dump({"order": 4, "identity": "N1", "completed": dropped}, fh)
+        json.dump(
+            {"order": 4, "identity": N1_TEXT, "kind": "kunen", "completed": dropped}, fh
+        )
     partial = kunen_scan(4, checkpoint=path)
-    assert partial.total_squares == 576
-    assert partial.n1_count == 16
+    assert len(calls) == 12
+    assert _fields(partial) == _fields(first)
 
 
-def test_checkpoint_for_other_scan_is_ignored(tmp_path):
+def test_checkpoint_for_other_scan_is_ignored(tmp_path, monkeypatch):
     path = str(tmp_path / "other.json")
     with open(path, "w") as fh:
         json.dump({"order": 3, "identity": "commutativity", "completed": {"bad": {}}}, fh)
     r = kunen_scan(3, checkpoint=path)  # N1 scan: stale file must not poison it
     assert (r.total_squares, r.n1_count) == (12, 3)
 
+    # the file now holds a loop scan; a modular scan of the same order and
+    # identity must rescan every row rather than reuse the loop tallies
+    calls = _count_units(monkeypatch)
+    m = modular_scan(3, checkpoint=path)
+    assert len(calls) == 6
+    assert (m.total_squares, m.n1_count, m.trivial_cocycle_count) == (12, 3, 3)
+    with open(path) as fh:
+        assert json.load(fh)["kind"] == "modular"
 
-def test_parallel_scan_matches_serial():
+
+@pytest.mark.parametrize("scan", [kunen_scan, modular_scan])
+def test_interrupted_scan_resumes_to_the_same_report(scan, tmp_path, monkeypatch):
+    path = str(tmp_path / "interrupted.json")
+    uninterrupted = scan(4)
+    k = 7
+    _count_units(monkeypatch, fail_after=k)
+    with pytest.raises(KeyboardInterrupt):
+        scan(4, checkpoint=path)
+    with open(path) as fh:
+        completed = json.load(fh)["completed"]
+    assert list(completed) == ["0,1,2,3", "0,1,3,2", "0,2,1,3", "0,2,3,1",
+                               "0,3,1,2", "0,3,2,1", "1,0,2,3"]
+    assert len(completed) == k
+
+    calls = _count_units(monkeypatch)
+    resumed = scan(4, checkpoint=path)
+    assert len(calls) == 24 - k
+    assert _fields(resumed) == _fields(uninterrupted)
+    assert not os.path.exists(path + ".tmp")
+
+
+def test_parallel_scan_matches_serial(tmp_path):
     serial = kunen_scan(4, jobs=1)
     parallel = kunen_scan(4, jobs=2)
     assert parallel.jobs == 2
@@ -133,6 +206,11 @@ def test_parallel_scan_matches_serial():
         serial.n1_count,
         serial.loop_count,
     )
+    path = str(tmp_path / "modular.json")
+    parallel = modular_scan(4, jobs=2, checkpoint=path)
+    assert _fields(parallel) == _fields(modular_scan(4))
+    with open(path) as fh:
+        assert len(json.load(fh)["completed"]) == 24
 
 
 def test_modular_scan_order_3():
