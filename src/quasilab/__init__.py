@@ -1,7 +1,7 @@
 """Desk-scale laboratory for finite quasigroups and Haar-type measures.
 
 Modules:
-  perm        permutations in image form, operator composition
+  perm        permutations in image form, operator composition, orbits
   cayley      validated Cayley tables, translations, divisions, loops
   linalg      exact rational elimination (RREF, nullspace)
   identities  term identities, exhaustive checking, operator (N1) form

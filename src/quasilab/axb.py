@@ -295,6 +295,8 @@ def run_verification_suite(
     right scaling, and the Delta(g^-1) consistency at tol (default
     1e-6) relative.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     start = time.perf_counter()
     rng = random.Random(seed)
 

@@ -277,7 +277,7 @@ def _cmd_kunen_scan(args) -> int:
         rep = modular_scan(
             args.order,
             mode=mode,
-            sample_size=args.sample or 1000,
+            sample_size=args.sample,
             seed=args.seed,
             allow_n6=args.allow_n6,
             identity_name=args.builtin,
@@ -297,7 +297,7 @@ def _cmd_kunen_scan(args) -> int:
     rep = kunen_scan(
         args.order,
         mode=mode,
-        sample_size=args.sample or 1000,
+        sample_size=args.sample,
         seed=args.seed,
         allow_n6=args.allow_n6,
         jobs=args.jobs,
@@ -409,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axb", help="ax+b group numeric verification")
     axb_sub = p.add_subparsers(dest="axb_command", required=True)
     v = axb_sub.add_parser("verify", parents=[common], help="run the full numeric suite")
-    v.add_argument("--trials", type=int, default=100)
+    v.add_argument("--trials", type=_positive_int, default=100)
     v.add_argument("--tol", type=float, default=1e-6)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(handler=_cmd_axb)
@@ -420,7 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--full", action="store_true", help="exhaustive (default)")
-    mode.add_argument("--sample", type=int, metavar="K", help="K seeded random squares")
+    mode.add_argument(
+        "--sample", type=_positive_int, metavar="K", help="K seeded random squares"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-n6", action="store_true", help="permit the full order-6 scan")
     p.add_argument(

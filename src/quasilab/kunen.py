@@ -210,6 +210,8 @@ def _scan(
             raise OrderTooLarge(n, FULL_SCAN_DEFAULT_LIMIT)
         units = list(first_rows(n))
     elif mode == "sample":
+        if sample_size < 1:
+            raise ValueError(f"sample size must be >= 1, got {sample_size}")
         if checkpoint is not None or jobs > 1:
             raise ValueError(
                 "a sample scan is a single unit of work: it takes neither a "

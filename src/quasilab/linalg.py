@@ -2,9 +2,9 @@
 
 Small dense systems only (a few hundred unknowns at most), so plain
 Gaussian elimination with Fraction arithmetic is fast enough and gives
-exact kernels, which the measure and character solvers require: a float
-nullspace cannot certify that a solution space is exactly one- or
-zero-dimensional.
+exact kernels, which the character solver requires: a float nullspace
+cannot certify that a solution space is exactly zero-dimensional.  The
+measure tests keep it as the oracle for the orbit route.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ nor refute them at the boundary.
 
 The central finite phenomenon: a permutation pushforward preserves total
 mass, so (L_a)_* mu = j(a) mu forces j(a) = 1 whenever mu is a nonzero
-finite measure.  Quasi-invariant therefore means invariant here, and the
-solver reduces to the simultaneous fixed space of all 2n translation
-actions, which transitivity of the left translations pins down to the
-ray of the counting measure.
+finite measure.  Quasi-invariant therefore means invariant here: the
+solutions are the functions constant on the orbits of the 2n
+translations, a connected-components question rather than a linear
+system.  Transitivity of the left translations leaves one orbit, so the
+solutions are the ray of the counting measure.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import FiniteQuasigroup
-from .linalg import nullspace
-from .perm import DegreeMismatch, Perm
+from .perm import DegreeMismatch, Perm, orbits
 
 
 class NoPositiveSolution(RuntimeError):
-    """The invariance system admitted no positive measure.
+    """The solved measure failed the ratio test or mass conservation.
 
     Unreachable for a valid Cayley table: counting measure is always
     invariant.  Raised rather than asserted so a corrupted input fails
@@ -165,67 +165,41 @@ def _ratio(pushed: Measure, mu: Measure):
 def solve_quasi_invariant(q: FiniteQuasigroup) -> QuasiInvariantSolution:
     """Solve (L_a)_* mu = j(a) mu and (R_a)_* mu = rho(a) mu over Q.
 
-    Mass conservation forces j = rho = 1, so the system is the common
-    fixed space of all translations: mu[T(i)] = mu[i] for each of the 2n
-    translation permutations T.  Solved by exact rational elimination;
-    the cocycles are then read back off the solved measure by the ratio
-    test as an independent confirmation of the forced value 1.
+    Mass conservation forces j = rho = 1, so the solutions are the common
+    fixed points of all 2n translation permutations T, mu[T(i)] = mu[i]:
+    exactly the functions constant on each orbit of the translations.
+    The basis is the orbit indicators and the measure is their sum, the
+    counting measure.  The cocycles are then read back off the measure by
+    the ratio test as an independent confirmation of the forced value 1.
     """
     n = q.order
     translations = [q.left_translation(a) for a in range(n)]
     translations += [q.right_translation(a) for a in range(n)]
-
-    # each invariance equation is mu[i] = mu[T(i)]; collect the distinct
-    # difference rows (at most n choose 2 of them)
-    pairs = set()
-    for t in translations:
-        for i, img in enumerate(t.images):
-            if img != i:
-                pairs.add((i, img) if i < img else (img, i))
-    rows = []
-    for i, j in sorted(pairs):
-        row = [0] * n
-        row[i] = 1
-        row[j] = -1
-        rows.append(row)
-    basis = nullspace(rows, ncols=n)
+    parts = orbits([t.images for t in translations], n)
+    basis = tuple(
+        tuple(Fraction(1) if i in part else Fraction(0) for i in range(n))
+        for part in parts
+    )
     dimension = len(basis)
+    # the sum of the indicators; the ratio test below re-checks its invariance
+    mu = Measure(map(sum, zip(*basis))).normalized(n)
 
-    candidate = None
-    for vec in basis:
-        if all(x > 0 for x in vec) or all(x < 0 for x in vec):
-            candidate = [abs(x) for x in vec]
-            break
-    if candidate is None:
-        raise NoPositiveSolution(
-            "no positive vector in the invariant solution space"
-        )
-    mu = Measure(candidate).normalized(n)
-
-    left_values = []
-    right_values = []
+    ratios = [_ratio(pushforward(t, mu), mu) for t in translations]
     for a in range(n):
-        jl = _ratio(pushforward(q.left_translation(a), mu), mu)
-        jr = _ratio(pushforward(q.right_translation(a), mu), mu)
-        if jl is None or jr is None:
+        if ratios[a] is None or ratios[n + a] is None:
             raise NoPositiveSolution(
                 f"solved measure fails the ratio test at element {a}"
             )
-        left_values.append(jl)
-        right_values.append(jr)
-    left = Cocycle(left_values)
-    right = Cocycle(right_values)
+    left = Cocycle(ratios[:n])
+    right = Cocycle(ratios[n:])
 
     # Independent route to the same conclusion: pushforwards preserve
     # mass, so j(a) * mass = mass pins j(a) = 1 before any solving.
     mass = mu.mass
-    forced = all(v == 1 for v in left.values) and all(
-        v == 1 for v in right.values
-    )
-    if not forced:
+    if not (left.is_trivial() and right.is_trivial()):
         raise NoPositiveSolution("ratio test contradicts mass conservation")
 
-    counting_like = dimension == 1 and len(set(basis[0])) == 1
+    counting_like = dimension == 1
     description = (
         "positive multiples of the counting measure"
         if counting_like
@@ -244,7 +218,7 @@ def solve_quasi_invariant(q: FiniteQuasigroup) -> QuasiInvariantSolution:
     }
     return QuasiInvariantSolution(
         dimension=dimension,
-        basis=tuple(tuple(v) for v in basis),
+        basis=basis,
         measure=mu,
         left_cocycle=left,
         right_cocycle=right,

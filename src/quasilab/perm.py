@@ -65,3 +65,28 @@ def invert_images(s: tuple[int, ...]) -> tuple[int, ...]:
     for i, j in enumerate(s):
         inv[j] = i
     return tuple(inv)
+
+
+def orbits(gens, degree: int) -> list[tuple[int, ...]]:
+    """Orbit partition of range(degree) under raw image tuples.
+
+    Each orbit is a sorted tuple, and orbits come ordered by their largest
+    point: the order of the free columns of the difference system
+    mu[i] - mu[g(i)] = 0, whose solutions are the functions constant on
+    orbits.
+    """
+    seen = [False] * degree
+    parts = []
+    for start in range(degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for pt in orbit:  # grows while it is walked: a breadth-first closure
+            for g in gens:
+                img = g[pt]
+                if not seen[img]:
+                    seen[img] = True
+                    orbit.append(img)
+        parts.append(tuple(sorted(orbit)))
+    return sorted(parts, key=lambda part: part[-1])

@@ -15,7 +15,7 @@ rows and columns of the Cayley table.
 from __future__ import annotations
 
 from .cayley import FiniteQuasigroup
-from .perm import DegreeMismatch, Perm, compose_images, invert_images
+from .perm import DegreeMismatch, Perm, compose_images, invert_images, orbits
 
 
 class ElementCapExceeded(RuntimeError):
@@ -149,23 +149,14 @@ class PermGroup:
         return self.membership(p)
 
     def orbit(self, point: int) -> frozenset[int]:
-        """Breadth-first closure of one point under the generators."""
-        seen = {point}
-        queue = [point]
-        qi = 0
+        """The points the generators reach from point."""
+        if not 0 <= point < self.degree:
+            raise ValueError(f"point {point} outside 0..{self.degree - 1}")
         gens = [g.images for g in self.generators]
-        while qi < len(queue):
-            pt = queue[qi]
-            qi += 1
-            for g in gens:
-                img = g[pt]
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-        return frozenset(seen)
+        return frozenset(next(o for o in orbits(gens, self.degree) if point in o))
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return len(orbits([g.images for g in self.generators], self.degree)) == 1
 
     def elements(self, cap: int = 10**6) -> frozenset[tuple]:
         """Every element as an image tuple, by breadth-first products.

@@ -61,8 +61,10 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def solutions(corpus):
-    # shared by criteria 2 and 3
-    return [solve_quasi_invariant(q) for q in corpus]
+    # shared by criteria 2 and 3; criterion 2 reports the solving time
+    start = time.perf_counter()
+    solved = [solve_quasi_invariant(q) for q in corpus]
+    return solved, time.perf_counter() - start
 
 
 def _announce(capsys, number, ok, detail):
@@ -88,6 +90,8 @@ def test_criterion_1_translation_form_of_the_identity(corpus, capsys):
 
 
 def test_criterion_2_counting_measure_invariance_and_solver(corpus, solutions, capsys):
+    solutions, solve_elapsed = solutions
+    start = time.perf_counter()
     invariant = 0
     for q in corpus:
         counting = Measure.counting(q.order)
@@ -105,37 +109,43 @@ def test_criterion_2_counting_measure_invariance_and_solver(corpus, solutions, c
         and sol.right_cocycle.is_trivial()
         and sol.degenerate
     )
+    elapsed = time.perf_counter() - start
     ok = invariant == len(corpus) and solved == len(corpus)
     _announce(
         capsys,
         2,
         ok,
         f"counting measure exactly invariant on {invariant}/{len(corpus)}; "
-        f"solver returns trivial cocycles and dimension 1 on {solved}/{len(corpus)}",
+        f"solver returns trivial cocycles and dimension 1 on {solved}/{len(corpus)} "
+        f"in {solve_elapsed + elapsed:.1f}s ({solve_elapsed:.1f}s solving)",
     )
     assert invariant == len(corpus)
     assert solved == len(corpus)
 
 
 def test_criterion_3_cocycle_relation_and_multiplicativity(corpus, solutions, capsys):
+    solutions, _ = solutions
+    start = time.perf_counter()
     holds = 0
     for q, sol in zip(corpus, solutions):
         relation = verify_cocycle_relation(q, sol.left_cocycle, sol.right_cocycle)
         multiplicative = check_multiplicative(sol.left_cocycle, q)
         if relation.holds and multiplicative.holds:
             holds += 1
+    elapsed = time.perf_counter() - start
     ok = holds == len(corpus)
     _announce(
         capsys,
         3,
         ok,
         f"cocycle relation and multiplicativity exact on {holds}/{len(corpus)} "
-        "solved pairs (trivially, j = rho = 1: the finite degeneracy)",
+        f"solved pairs (trivially, j = rho = 1: the finite degeneracy) in {elapsed:.1f}s",
     )
     assert holds == len(corpus)
 
 
 def test_criterion_4_character_triviality_and_normalization(corpus, capsys):
+    start = time.perf_counter()
     agree = 0
     loops = 0
     normalized = 0
@@ -148,19 +158,22 @@ def test_criterion_4_character_triviality_and_normalization(corpus, capsys):
             loops += 1
             if check_normalization(q, trivial_character(q.order)):
                 normalized += 1
+    elapsed = time.perf_counter() - start
     ok = agree == len(corpus) and normalized == loops
     _announce(
         capsys,
         4,
         ok,
         f"dimension 0 with oracle agreement on {agree}/{len(corpus)}; "
-        f"trivial character normalized at the identity on {normalized}/{loops} loops",
+        f"trivial character normalized at the identity on {normalized}/{loops} loops "
+        f"in {elapsed:.1f}s",
     )
     assert agree == len(corpus)
     assert normalized == loops
 
 
 def test_criterion_5_representation_well_defined(corpus, capsys):
+    start = time.perf_counter()
     clean = 0
     for q in corpus:
         audit = representation_well_defined(
@@ -168,13 +181,14 @@ def test_criterion_5_representation_well_defined(corpus, capsys):
         )
         if audit.well_defined and audit.conflict is None:
             clean += 1
+    elapsed = time.perf_counter() - start
     ok = clean == len(corpus)
     _announce(
         capsys,
         5,
         ok,
         f"no word conflict in the induced representation on {clean}/{len(corpus)} "
-        "multiplication groups",
+        f"multiplication groups in {elapsed:.1f}s",
     )
     assert clean == len(corpus)
 
@@ -235,6 +249,7 @@ def test_criterion_7_loop_forcing_scan_order_5(capsys):
 
 
 def test_criterion_8_pushforward_calculus(capsys):
+    start = time.perf_counter()
     rng = random.Random(20240)
     trials = 10000
     exact = 0
@@ -252,12 +267,13 @@ def test_criterion_8_pushforward_calculus(capsys):
             s, t, mu
         ):
             exact += 1
+    elapsed = time.perf_counter() - start
     ok = exact == trials
     _announce(
         capsys,
         8,
         ok,
         f"mass conservation and functoriality exact on {exact}/{trials} "
-        "seeded (S, T, mu) triples of degree <= 8",
+        f"seeded (S, T, mu) triples of degree <= 8 in {elapsed:.1f}s",
     )
     assert exact == trials

@@ -183,6 +183,10 @@ def test_verification_suite_passes_and_validates():
     assert validate_report(report) == "axb-verify"
     assert report["max_errors"]["left_invariance"] <= 1e-6
     assert report["max_errors"]["associativity"] <= 1e-12
+    # a suite of no trials checks no integral; a negative count is nonsense
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            run_verification_suite(trials=bad)
 
 
 def test_verification_suite_is_seed_deterministic():

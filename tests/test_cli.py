@@ -229,6 +229,12 @@ def test_axb_verify(tmp_path, capsys):
     assert "all tolerances met" in stdout
     doc = _load_report(out)
     assert doc["passed"] and doc["failures"] == []
+    refused = tmp_path / "refused.json"
+    for trials in ("0", "-1"):
+        with pytest.raises(SystemExit) as info:
+            main(["axb", "verify", "--trials", trials, "--json", str(refused)])
+        assert info.value.code == 2
+    assert not refused.exists()
 
 
 def test_kunen_scan_full(tmp_path, capsys):
@@ -285,6 +291,13 @@ def test_kunen_scan_sample_and_limits(tmp_path, capsys):
         assert main(["kunen-scan", "--order", "5", "--sample", "5"] + extra) == 2
         assert "sample scan" in capsys.readouterr().err
     assert not (tmp_path / "ignored.json").exists()
+    # a sample size below 1 is refused, never replaced by a default
+    for size in ("0", "-4"):
+        for extra in ([], ["--modular"]):
+            with pytest.raises(SystemExit) as info:
+                main(["kunen-scan", "--order", "3", "--sample", size] + extra)
+            assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_kunen_scan_modular(tmp_path, capsys):

@@ -73,6 +73,10 @@ def test_order_limits():
     for bad in ({"jobs": 2}, {"checkpoint": "unused.json"}):
         with pytest.raises(ValueError):
             kunen_scan(5, mode="sample", sample_size=5, **bad)
+    for size in (0, -4):
+        for scan in (kunen_scan, modular_scan):
+            with pytest.raises(ValueError):
+                scan(3, mode="sample", sample_size=size)
     # sampling at order 6 needs no flag
     r = kunen_scan(6, mode="sample", sample_size=5, seed=0)
     assert r.total_squares == 5

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quasilab.cayley import FiniteQuasigroup, cyclic_group, subtraction_mod
 from quasilab.latin import enumerate_latin_squares, sample_latin_squares
+from quasilab.linalg import nullspace
 from quasilab.measures import (
     Cocycle,
     Measure,
@@ -17,7 +18,46 @@ from quasilab.measures import (
     solve_quasi_invariant,
     verify_cocycle_relation,
 )
-from quasilab.perm import DegreeMismatch, Perm
+from quasilab.perm import DegreeMismatch, Perm, orbits
+from quasilab.permgroup import generate
+
+
+def _difference_nullspace(gens, n):
+    """Oracle: solve mu[i] = mu[g(i)] for every g by exact elimination."""
+    pairs = {
+        tuple(sorted((i, img))) for g in gens for i, img in enumerate(g) if img != i
+    }
+    rows = []
+    for i, j in sorted(pairs):
+        row = [0] * n
+        row[i], row[j] = 1, -1
+        rows.append(row)
+    return tuple(tuple(v) for v in nullspace(rows, ncols=n))
+
+
+def _indicators(parts, n):
+    return tuple(tuple(Fraction(int(i in part)) for i in range(n)) for part in parts)
+
+
+@st.composite
+def generator_lists(draw):
+    """0-4 permutations of degree 1-8 that all preserve one random block.
+
+    The block (of any size, on scrambled labels) makes multi-orbit sets
+    common; a block of 0 or n points leaves the generators unrestricted.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    labels = draw(st.permutations(range(n)))
+    cut = draw(st.integers(min_value=0, max_value=n))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        inner = draw(st.permutations(range(cut)))
+        outer = draw(st.permutations(range(cut, n)))
+        images = [0] * n
+        for i, j in enumerate(list(inner) + list(outer)):
+            images[labels[i]] = labels[j]
+        gens.append(tuple(images))
+    return n, gens
 
 
 def test_measure_basics():
@@ -116,11 +156,30 @@ def test_solver_exhaustive_small_orders():
         squares = []
         enumerate_latin_squares(n, squares.append)
         for square in squares:
-            sol = solve_quasi_invariant(FiniteQuasigroup(tuple(square)))
+            q = FiniteQuasigroup(tuple(square))
+            sol = solve_quasi_invariant(q)
             assert sol.dimension == 1
+            translations = [q.left_translation(a).images for a in range(n)]
+            translations += [q.right_translation(a).images for a in range(n)]
+            assert sol.basis == _difference_nullspace(translations, n)
             assert sol.basis[0] == tuple([sol.basis[0][0]] * n)
             assert sol.left_cocycle.is_trivial()
             assert sol.right_cocycle.is_trivial()
+
+
+@given(generator_lists())
+def test_orbit_route_matches_nullspace_and_group_elements(case):
+    # two routes to one partition: the orbit indicators must be the exact
+    # kernel of the difference system, in order, and every group orbit
+    # must be what the group's elements do to the point
+    n, gens = case
+    parts = orbits(gens, n)
+    assert _indicators(parts, n) == _difference_nullspace(gens, n)
+    g = generate([Perm(x) for x in gens], degree=n)
+    elements = g.elements()
+    for p in range(n):
+        assert g.orbit(p) == frozenset(e[p] for e in elements)
+    assert g.is_transitive() == (len(g.orbit(0)) == n)
 
 
 def test_solver_on_samples():

@@ -57,6 +57,9 @@ def test_non_transitive_orbit():
     assert g.orbit(0) == frozenset({0, 1})
     assert g.orbit(2) == frozenset({2})
     assert not g.is_transitive()
+    for outside in (-1, 3):
+        with pytest.raises(ValueError):
+            g.orbit(outside)
 
 
 def test_lmlt_of_cyclic_group_is_regular():
