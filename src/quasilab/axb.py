@@ -16,6 +16,7 @@ finite.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -297,6 +298,8 @@ def run_verification_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and above 0, got {tol}")
     start = time.perf_counter()
     rng = random.Random(seed)
 

@@ -2,8 +2,12 @@
 
 A character chi: Q -> (0, inf) with chi(x*y) = chi(x)chi(y) is handled
 in log-coordinates c = log chi, where multiplicativity becomes the
-linear system c[table[x][y]] = c[x] + c[y].  Exact rational elimination
-then decides the solution space outright.
+linear system c[table[x][y]] = c[x] + c[y], an integer system with n
+unknowns.  Its rank modulo the prime 2^61 - 1 is a lower bound for its
+rank over the rationals, so full rank mod p certifies the solution space
+{0} exactly with machine-sized integers.  Only a rank deficient mod p
+falls back to exact rational elimination (linalg.nullspace), which then
+decides the space outright.
 
 On any finite quasigroup that space is {0}: summing the defining
 equation over x for fixed a gives chi(a) * S = S with S = sum chi(x) > 0,
@@ -16,12 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp
+from math import exp, lcm
 from operator import itemgetter
 
 from .cayley import FiniteQuasigroup
 from .linalg import nullspace
 from .perm import compose_images
+
+
+# a Mersenne prime: residues stay below 2^61, products below 2^122
+PRIME = 2**61 - 1
 
 
 class NotALoop(ValueError):
@@ -75,26 +83,56 @@ class Character:
         return f"Character(log={[str(x) for x in self.log_values]})"
 
 
-def solve_characters(q: FiniteQuasigroup) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {c : c[x*y] = c[x] + c[y] for all x, y}.
+def rank_mod_p(rows, ncols: int) -> int:
+    """Rank of the integer rows over the field of PRIME elements.
 
-    Returns the (empty, for every finite quasigroup) list of basis
-    vectors of the log-character space.
+    Incremental elimination: each row is reduced against the pivot rows
+    kept so far (each normalised to 1 at its pivot and zero at the
+    earlier pivots) and kept if anything survives.  Stops reading rows
+    once the rank reaches ncols, so rows may be a lazy iterable.
     """
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        v = [x % PRIME for x in row]
+        for c, pivot_row in pivots:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % PRIME for x, y in zip(v, pivot_row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, PRIME)
+        pivots.append((lead, [x * inv % PRIME for x in v]))
+        if len(pivots) == ncols:
+            break
+    return len(pivots)
+
+
+def _equation_rows(q: FiniteQuasigroup):
+    """Rows e[x*y] - e[x] - e[y] in (x, y) order, lazily."""
     n = q.order
-    seen = set()
-    rows = []
     for x in range(n):
         for y in range(n):
             row = [0] * n
             row[q.table[x][y]] += 1
             row[x] -= 1
             row[y] -= 1
-            key = tuple(row)
-            if any(row) and key not in seen:
-                seen.add(key)
-                rows.append(row)
-    basis = nullspace(rows, ncols=n)
+            yield row
+
+
+def solve_characters(q: FiniteQuasigroup) -> list[tuple[Fraction, ...]]:
+    """Exact basis of {c : c[x*y] = c[x] + c[y] for all x, y}.
+
+    Returns the (empty, for every finite quasigroup) list of basis
+    vectors of the log-character space.  Full rank mod PRIME means full
+    rank over Q, so the empty basis is certified without fractions; a
+    deficient rank mod PRIME (every n x n minor a multiple of PRIME) is
+    settled by the rational nullspace of the same rows.
+    """
+    n = q.order
+    if rank_mod_p(_equation_rows(q), n) == n:
+        return []
+    basis = nullspace(list(_equation_rows(q)), ncols=n)
     return [tuple(v) for v in basis]
 
 
@@ -158,6 +196,11 @@ def representation_well_defined(
     with a different value is a conflict, reported as the pair of words.
     The homomorphism law pi(g o h) = pi(g) pi(h) is then checked on
     pairs of enumerated elements in discovery order, up to pair_budget.
+
+    The log-values are scaled once to integers over their common
+    denominator, so both checks add and compare plain ints.  Scaling by
+    a positive integer preserves every sum and every equality, so the
+    audit is the one the rational log-values give.
     """
     n = q.order
     gens = [q.table[a] for a in range(n)]
@@ -168,11 +211,13 @@ def representation_well_defined(
         actions = [lambda p: (p[0],)]
     else:
         actions = [itemgetter(*row) for row in gens]
-    log_values = chi.log_values
+    common = lcm(*(c.denominator for c in chi.log_values))
+    steps = [c.numerator * (common // c.denominator) for c in chi.log_values]
     absent = object()
 
-    # word (a1, ..., ak) denotes L_{a1} o ... o L_{ak}
-    values: dict[tuple, Fraction] = {identity: Fraction(0)}
+    # word (a1, ..., ak) denotes L_{a1} o ... o L_{ak}; values are the
+    # log-sums along first words, times common
+    values: dict[tuple, int] = {identity: 0}
     words: dict[tuple, tuple[int, ...]] = {identity: ()}
     order_found: list[tuple] = [identity]
     frontier: list[tuple] = [identity]
@@ -183,7 +228,7 @@ def representation_well_defined(
             base_value = values[perm]
             for a in range(n):
                 new_perm = actions[a](perm)
-                new_value = base_value + log_values[a]
+                new_value = base_value + steps[a]
                 existing = values.get(new_perm, absent)
                 if existing is not absent:
                     if existing != new_value:

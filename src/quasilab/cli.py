@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import jsonschema
@@ -350,6 +351,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write machine JSON report here")
@@ -375,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--identity", help='identity text, e.g. "((x*y)*z) = (x*(y*z))"')
     group.add_argument("--builtin", help="builtin identity name, e.g. N1")
-    p.add_argument("--cap", type=int, default=4, help="max distinct variables")
+    p.add_argument("--cap", type=_positive_int, default=4, help="max distinct variables")
     p.set_defaults(handler=_cmd_check_identity)
 
     p = sub.add_parser(
@@ -403,14 +411,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "characters", parents=[common], help="multiplicative character analysis"
     )
     p.add_argument("--table", required=True)
-    p.add_argument("--cap", type=int, default=10**6, help="LMlt element cap")
+    p.add_argument("--cap", type=_positive_int, default=10**6, help="LMlt element cap")
     p.set_defaults(handler=_cmd_characters)
 
     p = sub.add_parser("axb", help="ax+b group numeric verification")
     axb_sub = p.add_subparsers(dest="axb_command", required=True)
     v = axb_sub.add_parser("verify", parents=[common], help="run the full numeric suite")
     v.add_argument("--trials", type=_positive_int, default=100)
-    v.add_argument("--tol", type=float, default=1e-6)
+    v.add_argument("--tol", type=_positive_float, default=1e-6)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(handler=_cmd_axb)
 

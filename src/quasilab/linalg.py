@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Small dense systems only (a few hundred unknowns at most), so plain
-Gaussian elimination with Fraction arithmetic is fast enough and gives
-exact kernels, which the character solver requires: a float nullspace
-cannot certify that a solution space is exactly zero-dimensional.  The
-measure tests keep it as the oracle for the orbit route.
+Gaussian elimination with Fraction arithmetic gives exact kernels: a
+float nullspace cannot certify that a solution space is exactly
+zero-dimensional.  The character solver certifies full rank modulo a
+prime first and comes here only as its fallback, when that rank is
+deficient.  The tests keep it as the oracle for both the character
+solver and the orbit route of the measure solver.
 """
 
 from __future__ import annotations

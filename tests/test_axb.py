@@ -187,6 +187,10 @@ def test_verification_suite_passes_and_validates():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             run_verification_suite(trials=bad)
+    # a nan bound fails no check and reports no failure; inf passes anything
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            run_verification_suite(trials=1, tol=bad)
 
 
 def test_verification_suite_is_seed_deterministic():

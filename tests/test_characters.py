@@ -1,21 +1,129 @@
-"""Multiplicative characters: triviality, normalization, representation audit."""
+"""Multiplicative characters: triviality, normalization, representation audit.
 
+The package solves characters by a rank modulo a prime and audits LMlt
+with integer-scaled log-values.  The rational routes they replaced live
+here as oracles: linalg.nullspace of the same equation rows, and the
+Fraction breadth-first audit below.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from quasilab import characters
 from quasilab.cayley import FiniteQuasigroup, cyclic_group, subtraction_mod
 from quasilab.characters import (
+    PRIME,
     CapExceeded,
     Character,
     NotALoop,
+    RepresentationAudit,
     check_normalization,
     positive_sum_certificate,
+    rank_mod_p,
     representation_well_defined,
     solve_characters,
     trivial_character,
 )
 from quasilab.latin import enumerate_latin_squares, sample_latin_squares
+from quasilab.linalg import nullspace, rref
+from quasilab.perm import compose_images
+
+
+def _fraction_audit(q, chi, element_cap=10**6, pair_budget=10000):
+    """The audit in rational arithmetic: Fraction log-sums, no scaling."""
+    n = q.order
+    identity = tuple(range(n))
+    log_values = chi.log_values
+    values = {identity: Fraction(0)}
+    words = {identity: ()}
+    order_found = [identity]
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for perm in frontier:
+            for a in range(n):
+                new_perm = compose_images(perm, q.table[a])
+                new_value = values[perm] + log_values[a]
+                if new_perm in values:
+                    if values[new_perm] != new_value:
+                        return RepresentationAudit(
+                            well_defined=False,
+                            conflict=(words[new_perm], words[perm] + (a,)),
+                            group_order=len(values),
+                            homomorphism=False,
+                            pairs_checked=0,
+                        )
+                    continue
+                if len(values) >= element_cap:
+                    raise CapExceeded(element_cap)
+                values[new_perm] = new_value
+                words[new_perm] = words[perm] + (a,)
+                order_found.append(new_perm)
+                next_frontier.append(new_perm)
+        frontier = next_frontier
+
+    pairs_checked = 0
+    homomorphism = True
+    for g in order_found:
+        for h in order_found:
+            if pairs_checked >= pair_budget:
+                break
+            if values[compose_images(g, h)] != values[g] + values[h]:
+                homomorphism = False
+                break
+            pairs_checked += 1
+        if not homomorphism or pairs_checked >= pair_budget:
+            break
+    return RepresentationAudit(
+        well_defined=homomorphism,
+        conflict=None,
+        group_order=len(values),
+        homomorphism=homomorphism,
+        pairs_checked=pairs_checked,
+    )
+
+
+def _outcome(audit, q, chi, **kwargs):
+    try:
+        return audit(q, chi, **kwargs)
+    except CapExceeded as exc:
+        return ("cap", exc.cap)
+
+
+def _assert_audits_agree(q, chi, **kwargs):
+    fast = _outcome(representation_well_defined, q, chi, **kwargs)
+    assert fast == _outcome(_fraction_audit, q, chi, **kwargs)
+    return fast
+
+
+def _equation_rows(q):
+    # the rows e[x*y] - e[x] - e[y], built here apart from the package
+    rows = []
+    for x in range(q.order):
+        for y in range(q.order):
+            row = [0] * q.order
+            row[q.table[x][y]] += 1
+            row[x] -= 1
+            row[y] -= 1
+            rows.append(row)
+    return rows
+
+
+def _rational_characters(n):
+    # small denominators, and values that make some word conflict
+    steps = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2), Fraction(1), Fraction(0)]
+    return [
+        trivial_character(n),
+        Character([steps[i % len(steps)] for i in range(n)]),
+        Character([Fraction(0)] * (n - 1) + [Fraction(-2, 5)]),
+        # chi(a) = a/2 in lowest terms mixes denominators 1 and 2, and on a
+        # cyclic group no word conflicts before the first wrap-around
+        Character([Fraction(a, 2) for a in range(n)]),
+    ]
 
 
 def test_character_values_exponentiate_log_values():
@@ -39,7 +147,56 @@ def test_solver_exhaustive_small_orders():
         for square in squares:
             q = FiniteQuasigroup(tuple(square))
             assert solve_characters(q) == []
+            assert solve_characters(q) == nullspace(_equation_rows(q), ncols=n)
             assert positive_sum_certificate(q)
+
+
+def test_rank_mod_p_matches_rational_rank():
+    rng = random.Random(61)
+    deficient = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 5)
+        rows = [
+            [rng.randint(-3, 3) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        if len(rows) > 1 and rng.random() < 0.4:
+            # a combination of earlier rows keeps the rank below the row count
+            a, b = rng.sample(range(len(rows)), 2)
+            rows.append([2 * x - 3 * y for x, y in zip(rows[a], rows[b])])
+        rank = len(rref(rows)[1])
+        deficient += rank < min(len(rows), ncols)
+        assert rank_mod_p(rows, ncols) == rank
+        assert rank_mod_p(iter(rows), ncols) == rank
+    assert deficient > 25
+    assert rank_mod_p([], 3) == 0
+
+
+def test_rank_mod_p_sees_only_residues():
+    # full rank over Q, but p * e0 vanishes mod p
+    assert len(rref([[PRIME, 0], [0, 1]])[1]) == 2
+    assert rank_mod_p([[PRIME, 0], [0, 1]], 2) == 1
+    assert rank_mod_p([[PRIME + 1, 1], [1, 1]], 2) == 1
+    assert rank_mod_p([[2, 1], [1, 1]], 2) == 2
+
+
+def test_solver_falls_back_to_rational_elimination(monkeypatch):
+    calls = []
+
+    def deficient(rows, ncols):
+        calls.append(ncols)
+        return ncols - 1
+
+    monkeypatch.setattr(characters, "rank_mod_p", deficient)
+    for n in (1, 2, 3):
+        squares = []
+        enumerate_latin_squares(n, squares.append)
+        for square in squares:
+            q = FiniteQuasigroup(tuple(square))
+            assert solve_characters(q) == nullspace(_equation_rows(q), ncols=n) == []
+    for square in sample_latin_squares(5, 4, seed=5):
+        assert solve_characters(FiniteQuasigroup(square)) == []
+    assert len(calls) == 1 + 2 + 12 + 4
 
 
 def test_solver_and_certificate_agree_on_samples():
@@ -107,6 +264,11 @@ def test_fake_character_conflicts():
     first, second = audit.conflict
     assert first != second
 
+    # L_1 o L_1 = L_2 agrees (1/2 + 1/2 = 1); L_1 o L_2 = id is the first clash
+    half_steps = Character([0, Fraction(1, 2), 1])
+    audit = representation_well_defined(cyclic_group(3), half_steps)
+    assert audit.conflict == ((), (1, 2))
+
 
 def test_element_cap():
     with pytest.raises(CapExceeded) as info:
@@ -122,3 +284,64 @@ def test_audit_on_samples():
         audit = representation_well_defined(q, trivial_character(6), pair_budget=100)
         assert audit.well_defined
         assert audit.group_order <= 720
+
+
+def test_audit_matches_the_fraction_oracle_on_small_orders():
+    for n in (1, 2, 3, 4):
+        squares = []
+        enumerate_latin_squares(n, squares.append)
+        for square in squares:
+            q = FiniteQuasigroup(tuple(square))
+            for chi in _rational_characters(n):
+                _assert_audits_agree(q, chi, pair_budget=50)
+
+
+def test_audit_matches_the_fraction_oracle_on_samples():
+    for n, seed in ((5, 51), (6, 61)):
+        for square in sample_latin_squares(n, 12, seed=seed):
+            q = FiniteQuasigroup(square)
+            for chi in _rational_characters(n):
+                _assert_audits_agree(q, chi, pair_budget=100)
+
+
+def test_audit_caps_match_the_fraction_oracle():
+    z2_conflict = Character([0, 1])
+    fast = _assert_audits_agree(cyclic_group(2), z2_conflict)
+    assert fast.conflict == ((), (1, 1))
+    for q in (cyclic_group(2), cyclic_group(3), subtraction_mod(3), cyclic_group(4)):
+        for chi in _rational_characters(q.order) + [Character([Fraction(1, 3)] * q.order)]:
+            for cap in range(-1, 8):
+                _assert_audits_agree(q, chi, element_cap=cap)
+
+
+@st.composite
+def audit_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    q = FiniteQuasigroup(sample_latin_squares(n, 1, seed=seed)[0])
+    fractions = st.builds(
+        Fraction,
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=1, max_value=6),
+    )
+    kind = draw(st.sampled_from(["trivial", "sparse", "dense", "linear"]))
+    if kind == "trivial":
+        chi = trivial_character(n)
+    elif kind == "linear":
+        step = draw(fractions)
+        chi = Character([a * step for a in range(n)])
+    elif kind == "sparse":
+        log_values = [Fraction(0)] * n
+        log_values[draw(st.integers(min_value=0, max_value=n - 1))] = draw(fractions)
+        chi = Character(log_values)
+    else:
+        chi = Character(draw(st.lists(fractions, min_size=n, max_size=n)))
+    cap = draw(st.one_of(st.just(10**6), st.integers(min_value=1, max_value=30)))
+    budget = draw(st.integers(min_value=0, max_value=150))
+    return q, chi, cap, budget
+
+
+@given(audit_cases())
+def test_audit_matches_the_fraction_oracle(case):
+    q, chi, cap, budget = case
+    _assert_audits_agree(q, chi, element_cap=cap, pair_budget=budget)

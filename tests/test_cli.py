@@ -234,6 +234,11 @@ def test_axb_verify(tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             main(["axb", "verify", "--trials", trials, "--json", str(refused)])
         assert info.value.code == 2
+    # nan passes no comparison and inf every one; neither is a tolerance
+    for tol in ("nan", "inf", "0", "-1", "-inf"):
+        with pytest.raises(SystemExit) as info:
+            main(["axb", "verify", "--tol", tol, "--json", str(refused)])
+        assert info.value.code == 2
     assert not refused.exists()
 
 
@@ -368,12 +373,17 @@ def test_quiet_suppresses_human_output(tables, capsys):
 
 
 def test_missing_subcommand_is_a_usage_error(tables, capsys):
-    # so are --jobs where no work is parallel, and a job count below 1
+    # so are --jobs where no work is parallel, and a job count or cap below 1
     for argv in (
         [],
         ["validate", "--table", tables["z3"], "--jobs", "4"],
         ["kunen-scan", "--order", "3", "--jobs", "0"],
         ["kunen-scan", "--order", "3", "--jobs", "-1"],
+        # caps below 1 are refused before any table is read or solved
+        ["characters", "--table", tables["z3"], "--cap", "0"],
+        ["characters", "--table", tables["z3"], "--cap", "-1"],
+        ["check-identity", "--table", tables["z3"], "--builtin", "N1", "--cap", "0"],
+        ["check-identity", "--table", tables["z3"], "--builtin", "N1", "--cap", "-1"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
