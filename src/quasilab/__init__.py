@@ -3,7 +3,6 @@
 Modules:
   perm        permutations in image form, operator composition, orbits
   cayley      validated Cayley tables, translations, divisions, loops
-  linalg      exact rational elimination (RREF, nullspace)
   identities  term identities, exhaustive checking, operator (N1) form
   permgroup   Schreier-Sims groups: LMlt, RMlt, Mlt
   measures    pushforwards, quasi-invariant measures, cocycle relations

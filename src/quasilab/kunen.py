@@ -22,7 +22,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import Pool
 
@@ -60,20 +60,8 @@ class ScanReport:
     def to_dict(self) -> dict:
         return {
             "kind": "kunen-scan",
-            "order": self.order,
-            "mode": self.mode,
-            "total_squares": self.total_squares,
-            "n1_count": self.n1_count,
-            "n1_loop_count": self.n1_loop_count,
-            "loop_count": self.loop_count,
-            "loops_failing_n1": self.loops_failing_n1,
-            "elapsed": self.elapsed,
-            "identity_name": self.identity_name,
-            "kunen_holds": self.kunen_holds,
+            **asdict(self),
             "counterexample_files": list(self.counterexample_files),
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "jobs": self.jobs,
             "sampling_note": (
                 "samples are reproducible per seed but not uniformly "
                 "distributed over Latin squares"
@@ -97,19 +85,7 @@ class ModularScanReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "modular-scan",
-            "order": self.order,
-            "mode": self.mode,
-            "total_squares": self.total_squares,
-            "n1_count": self.n1_count,
-            "trivial_cocycle_count": self.trivial_cocycle_count,
-            "all_trivial": self.all_trivial,
-            "dimension_one_count": self.dimension_one_count,
-            "elapsed": self.elapsed,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-        }
+        return {"kind": "modular-scan", **asdict(self)}
 
 
 def _visit_loop(identity, counts, counterexamples, square):

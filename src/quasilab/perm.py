@@ -26,10 +26,6 @@ class Perm:
     def identity(cls, degree: int) -> "Perm":
         return cls(tuple(range(degree)))
 
-    @classmethod
-    def from_images(cls, images) -> "Perm":
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -43,13 +39,10 @@ class Perm:
             raise DegreeMismatch(
                 f"degree {len(self.images)} vs {len(other.images)}"
             )
-        return Perm(tuple(self.images[i] for i in other.images))
+        return Perm(compose_images(self.images, other.images))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(tuple(inv))
+        return Perm(invert_images(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

@@ -1,12 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: the tests' oracle.
 
-Small dense systems only (a few hundred unknowns at most), so plain
-Gaussian elimination with Fraction arithmetic gives exact kernels: a
-float nullspace cannot certify that a solution space is exactly
-zero-dimensional.  The character solver certifies full rank modulo a
-prime first and comes here only as its fallback, when that rank is
-deficient.  The tests keep it as the oracle for both the character
-solver and the orbit route of the measure solver.
+Plain Gaussian elimination with Fraction arithmetic gives exact kernels
+of small dense systems (a few hundred unknowns at most); a float
+nullspace could not certify that a solution space is exactly
+zero-dimensional.  The package itself needs no elimination: characters
+are certified by a rank modulo a prime and invariant measures are read
+off translation orbits.  The tests use this module as the independent
+slow route both are compared with.
 """
 
 from __future__ import annotations

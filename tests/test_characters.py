@@ -1,9 +1,10 @@
 """Multiplicative characters: triviality, normalization, representation audit.
 
 The package solves characters by a rank modulo a prime and audits LMlt
-with integer-scaled log-values.  The rational routes they replaced live
-here as oracles: linalg.nullspace of the same equation rows, and the
-Fraction breadth-first audit below.
+with integer-scaled log-values, certifying the homomorphism law from the
+closure alone.  The rational routes they replaced live here as oracles:
+the Fraction nullspace of the same equation rows, and the Fraction
+breadth-first audit below, which still checks the law pair by pair.
 """
 
 import random
@@ -29,8 +30,10 @@ from quasilab.characters import (
     trivial_character,
 )
 from quasilab.latin import enumerate_latin_squares, sample_latin_squares
-from quasilab.linalg import nullspace, rref
 from quasilab.perm import compose_images
+from quasilab.permgroup import lmlt
+
+from linalg_oracle import nullspace, rref
 
 
 def _fraction_audit(q, chi, element_cap=10**6, pair_budget=10000):
@@ -129,9 +132,7 @@ def _rational_characters(n):
 def test_character_values_exponentiate_log_values():
     chi = Character([0, 1, -1])
     assert chi.log(1) == Fraction(1)
-    assert abs(chi.value(1) - 2.718281828459045) < 1e-12
-    assert chi.value(0) == 1.0
-    assert Character.trivial(3).is_trivial()
+    assert trivial_character(3).is_trivial()
     assert not chi.is_trivial()
 
 
@@ -141,11 +142,12 @@ def test_solver_finds_no_characters_on_groups():
 
 
 def test_solver_exhaustive_small_orders():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         squares = []
         enumerate_latin_squares(n, squares.append)
         for square in squares:
             q = FiniteQuasigroup(tuple(square))
+            assert rank_mod_p(_equation_rows(q), n) == n
             assert solve_characters(q) == []
             assert solve_characters(q) == nullspace(_equation_rows(q), ncols=n)
             assert positive_sum_certificate(q)
@@ -180,29 +182,20 @@ def test_rank_mod_p_sees_only_residues():
     assert rank_mod_p([[2, 1], [1, 1]], 2) == 2
 
 
-def test_solver_falls_back_to_rational_elimination(monkeypatch):
-    calls = []
-
-    def deficient(rows, ncols):
-        calls.append(ncols)
-        return ncols - 1
-
-    monkeypatch.setattr(characters, "rank_mod_p", deficient)
-    for n in (1, 2, 3):
-        squares = []
-        enumerate_latin_squares(n, squares.append)
-        for square in squares:
-            q = FiniteQuasigroup(tuple(square))
-            assert solve_characters(q) == nullspace(_equation_rows(q), ncols=n) == []
-    for square in sample_latin_squares(5, 4, seed=5):
-        assert solve_characters(FiniteQuasigroup(square)) == []
-    assert len(calls) == 1 + 2 + 12 + 4
+def test_solver_rejects_a_deficient_rank(monkeypatch):
+    # the positive-sum identity rules a deficient rank out, so a solver
+    # that sees one has a bug and must say so instead of answering
+    monkeypatch.setattr(characters, "rank_mod_p", lambda rows, ncols: ncols - 1)
+    for q in (cyclic_group(1), cyclic_group(3), subtraction_mod(3)):
+        with pytest.raises(RuntimeError, match="internal error"):
+            solve_characters(q)
 
 
 def test_solver_and_certificate_agree_on_samples():
     for n in (4, 5, 6):
         for square in sample_latin_squares(n, 10, seed=n):
             q = FiniteQuasigroup(square)
+            assert rank_mod_p(_equation_rows(q), n) == n
             basis = solve_characters(q)
             assert (len(basis) == 0) == positive_sum_certificate(q)
             assert basis == []
@@ -245,6 +238,12 @@ def test_pair_budget_is_respected():
         subtraction_mod(3), trivial_character(3), pair_budget=7
     )
     assert audit.pairs_checked == 7
+    for budget in (-1, 0):
+        audit = representation_well_defined(
+            subtraction_mod(3), trivial_character(3), pair_budget=budget
+        )
+        assert audit.pairs_checked == 0
+        assert audit.well_defined and audit.homomorphism
     audit = representation_well_defined(
         cyclic_group(3), trivial_character(3), pair_budget=10**6
     )
@@ -293,7 +292,8 @@ def test_audit_matches_the_fraction_oracle_on_small_orders():
         for square in squares:
             q = FiniteQuasigroup(tuple(square))
             for chi in _rational_characters(n):
-                _assert_audits_agree(q, chi, pair_budget=50)
+                # the oracle then checks every pair the closure certifies
+                _assert_audits_agree(q, chi, pair_budget=10**6)
 
 
 def test_audit_matches_the_fraction_oracle_on_samples():
@@ -337,7 +337,12 @@ def audit_cases(draw):
     else:
         chi = Character(draw(st.lists(fractions, min_size=n, max_size=n)))
     cap = draw(st.one_of(st.just(10**6), st.integers(min_value=1, max_value=30)))
-    budget = draw(st.integers(min_value=0, max_value=150))
+    edges = [-5, -1, 0]
+    if n <= 4:
+        # around the certified count |LMlt|^2, and far past it
+        pairs = lmlt(q).order ** 2
+        edges = [10**6, pairs + 1, pairs, pairs - 1] + edges
+    budget = draw(st.one_of(st.sampled_from(edges), st.integers(min_value=-5, max_value=150)))
     return q, chi, cap, budget
 
 

