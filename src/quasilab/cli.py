@@ -436,7 +436,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="worker processes for a full scan"
     )
-    p.add_argument("--checkpoint", metavar="FILE", help="resumable per-first-row tallies")
+    p.add_argument(
+        "--checkpoint",
+        metavar="FILE",
+        help="resumable tallies, one entry per first row, written as each orbit finishes",
+    )
     p.add_argument("--counterexample-dir", metavar="DIR", default=None)
     p.add_argument("--builtin", default="N1", help="identity from the builtin catalog")
     p.add_argument(

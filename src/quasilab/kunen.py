@@ -10,14 +10,22 @@ never happen).
 
 Both the loop scan and the modular (measure) scan run through one
 driver that differs only in its per-square visitor.  Full scans
-partition the enumeration tree by first row, so work splits across
-processes and reports merge deterministically in lexicographic first-row
-order.  A JSON checkpoint file records per-first-row results as each row
-finishes, letting an interrupted scan resume without recounting.
+partition the enumeration tree by first row.  A relabelling sigma with
+sigma(0) = 0 maps the squares with first row r bijectively onto those
+with first row sigma o r o sigma^-1, by T'(sigma x, sigma y) =
+sigma(T(x, y)), and preserves every tally a scan keeps (a term identity,
+loopness, the measure dimension, trivial cocycles).  So a work unit is
+one orbit of first rows: only its smallest row's squares are enumerated,
+and every row of the orbit gets those counts and the counterexamples
+relabelled into it.  Units split across processes, and reports merge
+deterministically in lexicographic first-row order.  A JSON checkpoint
+file holds one result per first row, written as each orbit finishes,
+letting an interrupted scan resume without recounting.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -117,37 +125,96 @@ def _visit_modular(identity, counts, counterexamples, square):
 _VISITORS = {"kunen": _visit_loop, "modular": _visit_modular}
 
 
-def _run_unit(args) -> tuple:
-    """Visit one work unit: the squares with one first row, or the sample.
+def first_row_orbits(n: int) -> list[tuple]:
+    """The orbits of first_rows(n) under the relabellings that fix 0.
 
-    Returns the unit and its result, a JSON-ready dict of counts plus the
-    counterexample tables, so results merge by addition.
+    Each orbit is a tuple of (row, sigma) pairs in lexicographic row
+    order, where sigma fixes 0 and maps the orbit's representative onto
+    row as sigma o rep o sigma^-1.  The representative is the orbit's
+    smallest row, so it comes first, paired with the identity; orbits
+    come in order of their representatives.
     """
-    visit, identity_text, n, first_row, sample = args
+    sigmas = [(0, *p) for p in itertools.permutations(range(1, n))]
+    orbits, seen = [], set()
+    for rep in first_rows(n):
+        if rep in seen:
+            continue
+        members = {}
+        for sigma in sigmas:  # the identity comes first, so rep keeps it
+            members.setdefault(_relabel_row(rep, sigma), sigma)
+        seen.update(members)
+        orbits.append(tuple(sorted(members.items())))
+    return orbits
+
+
+def _relabel_row(row, sigma) -> tuple[int, ...]:
+    out = [0] * len(row)
+    for y, v in enumerate(row):
+        out[sigma[y]] = sigma[v]
+    return tuple(out)
+
+
+def conjugate(square, sigma) -> tuple[tuple[int, ...], ...]:
+    """The relabelled square T' with T'(sigma x, sigma y) = sigma(T(x, y))."""
+    rows = [None] * len(square)
+    for x, row in enumerate(square):
+        rows[sigma[x]] = _relabel_row(row, sigma)
+    return tuple(rows)
+
+
+def _run_unit(args) -> list:
+    """Visit one work unit: one first-row orbit, or the sample.
+
+    Returns (first_row, result) for every row of the unit, a result being
+    a JSON-ready dict of counts plus the counterexample tables, so results
+    merge by addition.  Only the orbit's representative is enumerated;
+    each row copies its counts and gets its counterexamples relabelled
+    into that row, sorted into the enumerator's lexicographic order.
+    """
+    visit, identity_text, n, orbit, sample = args
     counts, counterexamples = Counter(), []
     emit = partial(visit, parse_identity(identity_text), counts, counterexamples)
-    if first_row is None:
+    if orbit is None:
         squares = sample_latin_squares(n, *sample)
         for square in squares:
             emit(square)
-        total = len(squares)
-    else:
-        total = enumerate_with_first_row(n, first_row, emit)
-    return first_row, {"total": total, **counts, "counterexamples": counterexamples}
+        result = {"total": len(squares), **counts, "counterexamples": counterexamples}
+        return [(None, result)]
+    total = enumerate_with_first_row(n, orbit[0][0], emit)
+    results = []
+    for row, sigma in orbit:
+        relabelled = sorted(conjugate(square, sigma) for square in counterexamples)
+        results.append((row, {"total": total, **counts, "counterexamples": relabelled}))
+    return results
 
 
-def _unit_key(first_row) -> str:
+def _row_key(first_row) -> str:
     return "sample" if first_row is None else ",".join(str(v) for v in first_row)
 
 
 def _load_checkpoint(path: str | None, header: dict) -> dict:
-    """Completed units of a checkpoint written for exactly this scan."""
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        if all(data.get(k) == v for k, v in header.items()):
-            return data.get("completed", {})
-    return {}
+    """The completed entries, one per first row, of a checkpoint for this scan.
+
+    A checkpoint of another scan is ignored; a malformed one raises
+    ValueError naming the file.
+    """
+    if not (path and os.path.exists(path)):
+        return {}
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"checkpoint {path} does not hold a JSON object")
+    if any(data.get(k) != v for k, v in header.items()):
+        return {}
+    completed = data.get("completed", {})
+    if not isinstance(completed, dict) or not all(
+        isinstance(entry, dict) and {"total", "counterexamples"} <= entry.keys()
+        for entry in completed.values()
+    ):
+        raise ValueError(
+            f"checkpoint {path}: every completed entry needs a total and counterexamples"
+        )
+    return completed
 
 
 def _write_checkpoint(path: str, header: dict, completed: dict):
@@ -171,9 +238,10 @@ def _scan(
 ) -> tuple[Counter, list]:
     """Run the kind's visitor over every square; return counts and counterexamples.
 
-    Work units are first rows in full mode and the whole seeded sample in
-    sample mode.  Each finished unit is recorded to the checkpoint at
-    once; results merge in lexicographic first-row order.
+    Work units are first-row orbits in full mode and the whole seeded
+    sample in sample mode.  Each finished unit's rows are recorded to the
+    checkpoint at once, and a unit is pending while any of its rows is
+    missing; results merge in lexicographic first-row order.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -184,7 +252,7 @@ def _scan(
             raise OrderTooLarge(n, FULL_ENUMERATION_LIMIT)
         if n > FULL_SCAN_DEFAULT_LIMIT and not allow_n6:
             raise OrderTooLarge(n, FULL_SCAN_DEFAULT_LIMIT)
-        units = list(first_rows(n))
+        units, rows = first_row_orbits(n), list(first_rows(n))
     elif mode == "sample":
         if sample_size < 1:
             raise ValueError(f"sample size must be >= 1, got {sample_size}")
@@ -193,7 +261,7 @@ def _scan(
                 "a sample scan is a single unit of work: it takes neither a "
                 "checkpoint nor more than one job"
             )
-        units = [None]
+        units, rows = [None], [None]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -202,12 +270,13 @@ def _scan(
     pending = [
         (_VISITORS[kind], identity_text, n, unit, (sample_size, seed))
         for unit in units
-        if _unit_key(unit) not in completed
+        if unit is None or any(_row_key(row) not in completed for row, _ in unit)
     ]
 
     def record(finished):
-        for unit, result in finished:
-            completed[_unit_key(unit)] = result
+        for results in finished:
+            for row, result in results:
+                completed[_row_key(row)] = result
             if checkpoint is not None:
                 _write_checkpoint(checkpoint, header, completed)
 
@@ -218,8 +287,8 @@ def _scan(
         record(map(_run_unit, pending))
 
     counts, counterexamples = Counter(), []
-    for unit in units:
-        result = dict(completed[_unit_key(unit)])
+    for row in rows:
+        result = dict(completed[_row_key(row)])
         counterexamples += result.pop("counterexamples")
         counts.update(result)
     return counts, counterexamples

@@ -336,6 +336,25 @@ def test_kunen_scan_modular(tmp_path, capsys):
     assert not dumps.exists()
 
 
+def test_kunen_scan_malformed_checkpoint_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means the property failed, so a bad checkpoint must exit 2
+    header = {"order": 3, "identity": "(((x*y)*z)*y) = (x*(y*(z*y)))", "kind": "kunen"}
+    entry = {"total": 2, "counterexamples": []}
+    bad = {
+        "list": [],
+        "no_total": {**header, "completed": {"0,1,2": {"counterexamples": []}}},
+        "no_counterexamples": {**header, "completed": {"0,1,2": {"total": 2}}},
+        "entry_not_object": {**header, "completed": {"0,1,2": [], "0,2,1": entry}},
+        "completed_not_object": {**header, "completed": []},
+    }
+    for name, doc in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["kunen-scan", "--order", "3", "--checkpoint", str(path)]) == 2, name
+        assert str(path) in capsys.readouterr().err
+        assert json.loads(path.read_text()) == doc  # left as it was
+
+
 def test_report_validate_round_trip(tables, tmp_path, capsys):
     out = str(tmp_path / "report.json")
     main(["validate", "--table", tables["z3"], "--json", out, "--quiet"])

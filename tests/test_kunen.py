@@ -1,20 +1,38 @@
-"""Order scans: the loop-forcing property, checkpoints, identity overrides."""
+"""Order scans: the loop-forcing property, checkpoints, identity overrides.
 
+Full scans walk one first row per relabelling orbit.  The tests hold
+them against an unreduced walk of every first row, and check on random
+squares that relabelling preserves everything a scan tallies.
+"""
+
+import itertools
 import json
 import os
+from collections import Counter
+from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasilab import kunen
-from quasilab.cayley import parse_table_text
+from quasilab.cayley import parse_table_text, validate_cayley
 from quasilab.identities import (
     UnknownIdentityError,
+    builtin_identities,
     builtin_identity,
     check_identity,
+    parse_identity,
     pretty,
 )
-from quasilab.kunen import kunen_scan, modular_scan
-from quasilab.latin import OrderTooLarge
+from quasilab.kunen import conjugate, first_row_orbits, kunen_scan, modular_scan
+from quasilab.latin import (
+    OrderTooLarge,
+    enumerate_with_first_row,
+    first_rows,
+    sample_latin_squares,
+)
+from quasilab.measures import solve_quasi_invariant
 from quasilab.reports import validate_report
 
 # order: (total, satisfying, loops, satisfying loops)
@@ -128,6 +146,10 @@ def _count_units(monkeypatch, fail_after=None):
     return calls
 
 
+def _key(row) -> str:
+    return ",".join(map(str, row))
+
+
 def _fields(report) -> dict:
     doc = report.to_dict()
     del doc["elapsed"]
@@ -152,15 +174,22 @@ def test_checkpoint_round_trip(tmp_path, monkeypatch):
     assert calls == []
     assert _fields(resumed) == _fields(first)
 
-    # partial resume: drop half the entries, only those rows are rescanned
-    dropped = dict(list(data["completed"].items())[::2])
+    # partial resume: drop every other row; each orbit missing a row is
+    # rescanned whole, and no other
+    rows = sorted(data["completed"])
+    dropped = set(rows[1::2])
     with open(path, "w") as fh:
         json.dump(
-            {"order": 4, "identity": N1_TEXT, "kind": "kunen", "completed": dropped}, fh
+            {"order": 4, "identity": N1_TEXT, "kind": "kunen",
+             "completed": {row: data["completed"][row] for row in rows[::2]}},
+            fh,
         )
     partial = kunen_scan(4, checkpoint=path)
-    assert len(calls) == 12
+    assert len(calls) == 6  # of the 7 orbits, only {0,1,2,3} is whole
+    assert all(any(_key(row) in dropped for row, _ in orbit) for orbit in calls)
     assert _fields(partial) == _fields(first)
+    with open(path) as fh:
+        assert json.load(fh)["completed"] == data["completed"]
 
 
 def test_checkpoint_for_other_scan_is_ignored(tmp_path, monkeypatch):
@@ -174,7 +203,7 @@ def test_checkpoint_for_other_scan_is_ignored(tmp_path, monkeypatch):
     # identity must rescan every row rather than reuse the loop tallies
     calls = _count_units(monkeypatch)
     m = modular_scan(3, checkpoint=path)
-    assert len(calls) == 6
+    assert len(calls) == 4  # every orbit of the 6 first rows
     assert (m.total_squares, m.n1_count, m.trivial_cocycle_count) == (12, 3, 3)
     with open(path) as fh:
         assert json.load(fh)["kind"] == "modular"
@@ -184,19 +213,19 @@ def test_checkpoint_for_other_scan_is_ignored(tmp_path, monkeypatch):
 def test_interrupted_scan_resumes_to_the_same_report(scan, tmp_path, monkeypatch):
     path = str(tmp_path / "interrupted.json")
     uninterrupted = scan(4)
-    k = 7
+    k = 3
     _count_units(monkeypatch, fail_after=k)
     with pytest.raises(KeyboardInterrupt):
         scan(4, checkpoint=path)
     with open(path) as fh:
         completed = json.load(fh)["completed"]
-    assert list(completed) == ["0,1,2,3", "0,1,3,2", "0,2,1,3", "0,2,3,1",
-                               "0,3,1,2", "0,3,2,1", "1,0,2,3"]
-    assert len(completed) == k
+    # the rows of the first three orbits: {0123}, {0132, 0213, 0321}, {0231, 0312}
+    assert sorted(completed) == ["0,1,2,3", "0,1,3,2", "0,2,1,3", "0,2,3,1",
+                                 "0,3,1,2", "0,3,2,1"]
 
     calls = _count_units(monkeypatch)
     resumed = scan(4, checkpoint=path)
-    assert len(calls) == 24 - k
+    assert len(calls) == 7 - k
     assert _fields(resumed) == _fields(uninterrupted)
     assert not os.path.exists(path + ".tmp")
 
@@ -232,3 +261,126 @@ def test_modular_scan_sample_mode():
     assert m.total_squares == 30
     assert m.all_trivial
     assert m.trivial_cocycle_count == m.n1_count
+
+
+# orbits of the first rows under the relabellings fixing 0, n = 1..6
+ORBIT_COUNTS = {1: 1, 2: 2, 3: 4, 4: 7, 5: 12, 6: 19}
+
+
+def _relabelled_row(row, sigma):
+    """sigma o row o sigma^-1, composed literally."""
+    inverse = [0] * len(sigma)
+    for x, image in enumerate(sigma):
+        inverse[image] = x
+    return tuple(sigma[row[inverse[y]]] for y in range(len(row)))
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_COUNTS))
+def test_first_row_orbits_partition_the_first_rows(n):
+    orbits = first_row_orbits(n)
+    assert len(orbits) == ORBIT_COUNTS[n]
+    members = [row for orbit in orbits for row, _ in orbit]
+    assert sorted(members) == list(first_rows(n))  # a partition: no row twice
+    reps = [orbit[0][0] for orbit in orbits]
+    assert reps == sorted(reps)
+    for orbit in orbits:
+        rep = orbit[0][0]
+        assert [row for row, _ in orbit] == sorted(row for row, _ in orbit)
+        assert orbit[0][1] == tuple(range(n))
+        for row, sigma in orbit:
+            assert sigma[0] == 0 and sorted(sigma) == list(range(n))
+            assert _relabelled_row(rep, sigma) == row
+        # closed under every relabelling fixing 0: a whole orbit, whose
+        # minimum is rep
+        rows = {row for row, _ in orbit}
+        for tail in itertools.permutations(range(1, n)):
+            assert {_relabelled_row(row, (0, *tail)) for row in rows} == rows
+
+
+def _unreduced_walk(n: int, kind: str, identity_text: str) -> dict:
+    """The checkpoint entries of a scan that enumerates every first row."""
+    identity = parse_identity(identity_text)
+    completed = {}
+    for row in first_rows(n):
+        counts, counterexamples = Counter(), []
+        visit = partial(kunen._VISITORS[kind], identity, counts, counterexamples)
+        total = enumerate_with_first_row(n, row, visit)
+        completed[_key(row)] = {
+            "total": total, **counts, "counterexamples": counterexamples
+        }
+    return json.loads(json.dumps(completed))
+
+
+ORACLE_CASES = [
+    (n, kind, "N1") for n in range(1, 5) for kind in ("kunen", "modular")
+] + [(3, "kunen", "commutativity"), (4, "kunen", "commutativity"), (5, "kunen", "N1")]
+
+
+@pytest.mark.parametrize("n, kind, name", ORACLE_CASES)
+def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
+    path = str(tmp_path / "reduced.json")
+    scan = kunen_scan if kind == "kunen" else modular_scan
+    dumps = {"counterexample_dir": str(tmp_path)} if kind == "kunen" else {}
+    scan(n, checkpoint=path, identity_name=name, **dumps)  # dumps kept off the cwd
+    with open(path) as fh:
+        completed = json.load(fh)["completed"]
+    expected = _unreduced_walk(n, kind, pretty(builtin_identity(name)))
+    assert completed == expected
+    if name == "commutativity":
+        # 3 and 80 commutative non-loops; at order 4 rows hold several, so
+        # the relabelled counterexamples must also be sorted
+        found = [len(e["counterexamples"]) for e in completed.values()]
+        assert sum(found) == {3: 3, 4: 80}[n]
+
+
+@pytest.mark.parametrize("scan, kind", [(kunen_scan, "kunen"), (modular_scan, "modular")])
+def test_checkpoint_of_the_unreduced_walk_resumes_with_no_units(
+    scan, kind, tmp_path, monkeypatch
+):
+    path = str(tmp_path / "unreduced.json")
+    with open(path, "w") as fh:
+        json.dump({"order": 4, "identity": N1_TEXT, "kind": kind,
+                   "completed": _unreduced_walk(4, kind, N1_TEXT)}, fh)
+    fresh = scan(4)
+    calls = _count_units(monkeypatch)
+    assert _fields(scan(4, checkpoint=path)) == _fields(fresh)
+    assert calls == []
+
+
+@st.composite
+def squares_and_relabellings(draw):
+    """A square of order <= 6 and a relabelling sigma with sigma(0) = 0.
+
+    Half the squares are groups Z_n relabelled by an arbitrary tau, so that
+    loops and identity satisfiers are drawn as often as sampled squares.
+    """
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        square = sample_latin_squares(n, 1, draw(st.integers(0, 2**32)))[0]
+    else:
+        tau = draw(st.permutations(range(n)))
+        inverse = {t: x for x, t in enumerate(tau)}
+        square = tuple(
+            tuple(tau[(inverse[x] + inverse[y]) % n] for y in range(n)) for x in range(n)
+        )
+    sigma = (0, *draw(st.permutations(range(1, n))))
+    return square, sigma
+
+
+@given(squares_and_relabellings())
+def test_relabelling_preserves_what_a_scan_tallies(case):
+    square, sigma = case
+    relabelled = conjugate(square, sigma)
+    n = len(square)
+    for x in range(n):
+        for y in range(n):
+            assert relabelled[sigma[x]][sigma[y]] == sigma[square[x][y]]
+    q, r = validate_cayley(square), validate_cayley(relabelled)
+    assert relabelled[0] == _relabelled_row(square[0], sigma)
+    for identity in builtin_identities().values():
+        assert check_identity(q, identity).holds == check_identity(r, identity).holds
+    assert q.is_loop() == r.is_loop()
+    a, b = solve_quasi_invariant(q), solve_quasi_invariant(r)
+    assert a.dimension == b.dimension
+    for side in ("left_cocycle", "right_cocycle"):
+        assert getattr(a, side).is_trivial() == getattr(b, side).is_trivial()
