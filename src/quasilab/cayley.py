@@ -52,7 +52,7 @@ class FiniteQuasigroup:
     has already been checked.
     """
 
-    __slots__ = ("order", "table", "labels", "_left_div", "_right_div")
+    __slots__ = ("order", "table", "labels", "_left_div", "_right_div", "_lmlt")
 
     def __init__(self, table: tuple[tuple[int, ...], ...], labels=None):
         self.order = len(table)
@@ -60,6 +60,7 @@ class FiniteQuasigroup:
         self.labels = tuple(labels) if labels is not None else None
         self._left_div = None
         self._right_div = None
+        self._lmlt = None
 
     def multiply(self, x: int, y: int) -> int:
         return self.table[x][y]

@@ -14,6 +14,10 @@ internal error, not a case to handle.  positive_sum_certificate
 re-derives the same conclusion from the raw table by pure integer
 bookkeeping, with no shared code with the elimination; the two routes
 must agree.
+
+The same degeneracy settles the LMlt audit: L_a -> log chi(a) is well
+defined on LMlt exactly when chi is trivial (representation_well_defined
+gives the proof), so a trivial chi needs only |LMlt| from Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from math import lcm
 from operator import itemgetter
 
 from .cayley import FiniteQuasigroup
+from .permgroup import lmlt
 
 
 # a Mersenne prime: residues stay below 2^61, products below 2^122
@@ -184,38 +189,57 @@ def representation_well_defined(
 ) -> RepresentationAudit:
     """Audit pi(L_a) = chi(a) as a map on LMlt(Q).
 
-    Enumerates LMlt by breadth-first closure over words in the
-    generators L_0, ..., L_{n-1} (shorter words first, lexicographic
-    within a length).  Each permutation gets the chi-product (log-sum)
-    along its first word; a later word reaching the same permutation
-    with a different value is a conflict, reported as the pair of words.
-
-    Without a conflict the map is a homomorphism, so the law
-    pi(g o h) = pi(g) pi(h) needs no further check.  The closure has
-    compared value(p o L_a) with value(p) + log chi(a) on every element
-    p and every generator a, found them equal, and given the identity
-    value 0.  Induction on the length of a word for h then gives
+    The map is well defined exactly when chi is trivial.  A breadth-first
+    closure over words in the generators L_0, ..., L_{n-1} gives each
+    permutation the log-sum of chi along its first word; with no conflict
+    it has compared value(p o L_a) with value(p) + log chi(a) on every
+    element p and every generator a, found them equal, and given the
+    identity value 0.  Induction on the length of a word for h then gives
     value(g o h) = value(g) + value(h) for all g and h: for h = h' o L_a,
     value(g o h' o L_a) = value(g o h') + log chi(a)
                         = value(g) + value(h') + log chi(a)
                         = value(g) + value(h).
-    pairs_checked reports the pairs this certifies, capped at
-    pair_budget: min(pair_budget, |LMlt|^2), and 0 for a negative budget.
+    So a conflict-free closure is a homomorphism from the finite group
+    LMlt into (Q, +).  Its image is a finite subgroup of a torsion-free
+    group, hence {0}, and log chi(a) = value(L_a) = 0 for every a.
+    Conversely a trivial chi gives every word the value 0.
 
+    A trivial chi is therefore audited without words: group_order is
+    |LMlt| from the Schreier-Sims chain lmlt(q), and pairs_checked
+    reports the homomorphism pairs certified, min(pair_budget, |LMlt|^2),
+    and 0 for a negative budget.  CapExceeded is raised exactly when the
+    closure would have raised it: when |LMlt| > max(element_cap, 1).
+
+    For a non-trivial chi the closure runs only to locate the first
+    conflict (shorter words first, lexicographic within a length),
+    reported as the pair of words with the element count reached so far;
+    it raises CapExceeded on inserting element element_cap + 1 first.
     The log-values are scaled once to integers over their common
     denominator, so the closure adds and compares plain ints.  Scaling by
     a positive integer preserves every sum and every equality, so the
-    audit is the one the rational log-values give.
+    conflict is the one the rational log-values give.
     """
     n = q.order
-    gens = [q.table[a] for a in range(n)]
+    if chi.degree != n:
+        raise ValueError(f"character of degree {chi.degree} on a quasigroup of order {n}")
+    if chi.is_trivial():
+        group_order = lmlt(q).order
+        if group_order > max(element_cap, 1):
+            raise CapExceeded(element_cap)
+        return RepresentationAudit(
+            well_defined=True,
+            conflict=None,
+            group_order=group_order,
+            homomorphism=True,
+            pairs_checked=max(0, min(pair_budget, group_order**2)),
+        )
+
     identity = tuple(range(n))
-    # right-composition with L_a is a fixed index gather; itemgetter makes
-    # the BFS fast enough to enumerate every corpus multiplication group
+    # right-composition with L_a is a fixed index gather, done by itemgetter
     if n == 1:
         actions = [lambda p: (p[0],)]
     else:
-        actions = [itemgetter(*row) for row in gens]
+        actions = [itemgetter(*row) for row in q.table]
     common = lcm(*(c.denominator for c in chi.log_values))
     steps = [c.numerator * (common // c.denominator) for c in chi.log_values]
     absent = object()
@@ -251,11 +275,6 @@ def representation_well_defined(
                 next_frontier.append(new_perm)
         frontier = next_frontier
 
-    group_order = len(values)
-    return RepresentationAudit(
-        well_defined=True,
-        conflict=None,
-        group_order=group_order,
-        homomorphism=True,
-        pairs_checked=max(0, min(pair_budget, group_order**2)),
+    raise RuntimeError(
+        f"internal error: a non-trivial character met no conflict on LMlt of order {len(values)}"
     )

@@ -192,11 +192,30 @@ def _row_key(first_row) -> str:
     return "sample" if first_row is None else ",".join(str(v) for v in first_row)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_table(square, n: int) -> bool:
+    return (
+        isinstance(square, list)
+        and len(square) == n
+        and all(
+            isinstance(row, list)
+            and len(row) == n
+            and all(_is_int(v) and 0 <= v < n for v in row)
+            for row in square
+        )
+    )
+
+
 def _load_checkpoint(path: str | None, header: dict) -> dict:
     """The completed entries, one per first row, of a checkpoint for this scan.
 
     A checkpoint of another scan is ignored; a malformed one raises
-    ValueError naming the file.
+    ValueError naming the file.  Every entry needs counts that are
+    non-negative ints and a list of order x order counterexample tables
+    with entries in range, so the merge and the dump never see a bad value.
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -214,6 +233,15 @@ def _load_checkpoint(path: str | None, header: dict) -> dict:
         raise ValueError(
             f"checkpoint {path}: every completed entry needs a total and counterexamples"
         )
+    n = header["order"]
+    for entry in completed.values():
+        if not all(_is_int(v) and v >= 0 for k, v in entry.items() if k != "counterexamples"):
+            raise ValueError(f"checkpoint {path}: every count must be a non-negative integer")
+        squares = entry["counterexamples"]
+        if not isinstance(squares, list) or not all(_is_table(sq, n) for sq in squares):
+            raise ValueError(
+                f"checkpoint {path}: counterexamples must be {n}x{n} tables of 0..{n - 1}"
+            )
     return completed
 
 

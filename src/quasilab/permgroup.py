@@ -2,10 +2,13 @@
 
 Construction is a deterministic Schreier-Sims: base points are chosen
 greedily as the smallest point moved by the generator (or residue) that
-forces a new level, transversals are breadth-first in generator order,
-and levels are verified deepest-first with a jump back down whenever a
-new strong generator appears.  Orders come out as exact Python ints via
-the product of fundamental orbit sizes.
+forces a new level, transversals are breadth-first in generator order
+and rebuilt as soon as their level gains a strong generator, and levels
+are verified deepest-first with a jump back down whenever a new strong
+generator appears.  Orders come out as exact Python ints via the product
+of fundamental orbit sizes.  Each transversal element is stored with its
+inverse, composed from the generators' inverses as the element is built,
+so sifting and Schreier generators never invert a permutation.
 
 The translation groups LMlt(Q), RMlt(Q) and Mlt(Q) of a finite
 quasigroup are the intended inputs; lmlt/rmlt/mlt build them from the
@@ -27,14 +30,15 @@ class ElementCapExceeded(RuntimeError):
 def _strip(g: tuple, base, transversals):
     """Sift g down the stabilizer chain.
 
-    Returns the residue and the level where sifting stopped; g is a
-    member exactly when the residue is the identity at level len(base).
+    Transversals map each orbit point to (u, u^-1).  Returns the residue
+    and the level where sifting stopped; g is a member exactly when the
+    residue is the identity at level len(base).
     """
     for i, b in enumerate(base):
         t = transversals[i].get(g[b])
         if t is None:
             return g, i
-        g = compose_images(invert_images(t), g)
+        g = compose_images(t[1], g)
     return g, len(base)
 
 
@@ -56,52 +60,57 @@ def _build_bsgs(gens: list[tuple], degree: int):
         [g for g in gens if all(g[b] == b for b in base[:i])]
         for i in range(len(base))
     ]
-    transversals: list[dict[int, tuple]] = [
-        {base[i]: identity} for i in range(len(base))
+    transversals: list[dict[int, tuple[tuple, tuple]]] = [
+        {base[i]: (identity, identity)} for i in range(len(base))
     ]
 
-    def recompute_transversal(i: int) -> list[int]:
+    def recompute_transversal(i: int) -> None:
         b = base[i]
-        trans = {b: identity}
+        trans = {b: (identity, identity)}
         queue = [b]
         qi = 0
-        gens_i = level_gens[i]
+        gens_i = [(s, invert_images(s)) for s in level_gens[i]]
         while qi < len(queue):
             pt = queue[qi]
             qi += 1
-            u = trans[pt]
-            for s in gens_i:
+            u, uinv = trans[pt]
+            for s, sinv in gens_i:
                 img = s[pt]
                 if img not in trans:
-                    trans[img] = compose_images(s, u)
+                    # (s u)^-1 = u^-1 s^-1
+                    trans[img] = (compose_images(s, u), compose_images(uinv, sinv))
                     queue.append(img)
         transversals[i] = trans
-        return queue
 
     for level in range(len(base)):
         recompute_transversal(level)
 
     i = len(base) - 1
     while i >= 0:
-        orbit_order = recompute_transversal(i)
         trans = transversals[i]
+        # a Schreier generator of level i fixes base[:i + 1]: sift it below
+        deeper_base, deeper = base[i + 1:], transversals[i + 1:]
         restart = False
-        for pt in orbit_order:
-            u = trans[pt]
+        for pt in trans:
+            u = trans[pt][0]
             for s in level_gens[i]:
-                sg = compose_images(invert_images(trans[s[pt]]), compose_images(s, u))
+                # the Schreier generator v^-1 s u, v the transversal element at s(pt)
+                vinv = trans[s[pt]][1]
+                sg = tuple(vinv[s[x]] for x in u)
                 if sg == identity:
                     continue
-                residue, j = _strip(sg, base, transversals)
+                residue, j = _strip(sg, deeper_base, deeper)
+                j += i + 1
                 if residue == identity:
                     continue
                 if j == len(base):
                     new_point = min(p for p in range(degree) if residue[p] != p)
                     base.append(new_point)
                     level_gens.append([])
-                    transversals.append({new_point: identity})
+                    transversals.append({new_point: (identity, identity)})
                 for l in range(i + 1, j + 1):
                     level_gens[l].append(residue)
+                    recompute_transversal(l)
                 i = j
                 restart = True
                 break
@@ -211,8 +220,14 @@ def generate(gens, degree: int | None = None) -> PermGroup:
 
 
 def lmlt(q: FiniteQuasigroup) -> PermGroup:
-    """Group generated by all left translations."""
-    return generate([q.left_translation(a) for a in range(q.order)])
+    """Group generated by all left translations.
+
+    Built once per quasigroup instance and kept on it, so the LMlt audit
+    and a caller that asked for the group first share one chain.
+    """
+    if q._lmlt is None:
+        q._lmlt = generate([q.left_translation(a) for a in range(q.order)])
+    return q._lmlt
 
 
 def rmlt(q: FiniteQuasigroup) -> PermGroup:

@@ -1,8 +1,9 @@
 """Multiplicative characters: triviality, normalization, representation audit.
 
-The package solves characters by a rank modulo a prime and audits LMlt
-with integer-scaled log-values, certifying the homomorphism law from the
-closure alone.  The rational routes they replaced live here as oracles:
+The package solves characters by a rank modulo a prime.  It audits LMlt
+by theorem for the trivial character, reading |LMlt| off the Schreier-Sims
+chain, and runs an integer-scaled closure only to locate the conflict of
+a non-trivial one.  The rational routes they replaced live here as oracles:
 the Fraction nullspace of the same equation rows, and the Fraction
 breadth-first audit below, which still checks the law pair by pair.
 """
@@ -312,6 +313,60 @@ def test_audit_caps_match_the_fraction_oracle():
         for chi in _rational_characters(q.order) + [Character([Fraction(1, 3)] * q.order)]:
             for cap in range(-1, 8):
                 _assert_audits_agree(q, chi, element_cap=cap)
+
+
+def _theorem_squares():
+    for n in (1, 2, 3, 4):
+        squares = []
+        enumerate_latin_squares(n, squares.append)
+        yield from squares
+    yield from sample_latin_squares(5, 30, seed=55)
+    yield from sample_latin_squares(6, 30, seed=66)
+
+
+def test_audit_is_well_defined_exactly_for_the_trivial_character():
+    # the theorem the audit reads off: a conflict-free closure is a
+    # homomorphism from the finite LMlt into (Q, +), hence zero
+    for square in _theorem_squares():
+        n = len(square)
+        for chi in _rational_characters(n):
+            audit = representation_well_defined(FiniteQuasigroup(tuple(square)), chi)
+            if chi.is_trivial():
+                # the elements() closure shares no code with the chain
+                members = lmlt(FiniteQuasigroup(tuple(square))).elements()
+                assert audit.well_defined
+                assert audit.group_order == len(members)
+            else:
+                assert not audit.well_defined
+                assert audit.conflict is not None
+
+
+def test_audit_does_not_depend_on_a_prior_lmlt():
+    for square in sample_latin_squares(4, 4, seed=44) + sample_latin_squares(6, 4, seed=64):
+        for chi in _rational_characters(len(square)):
+            for cap in (0, 5, 10**6):
+                warmed = FiniteQuasigroup(square)
+                group = lmlt(warmed)
+                before = _outcome(representation_well_defined, warmed, chi, element_cap=cap)
+                fresh = _outcome(
+                    representation_well_defined, FiniteQuasigroup(square), chi, element_cap=cap
+                )
+                assert before == fresh
+                assert lmlt(warmed) is group  # the audit reused the chain
+
+
+def test_audit_rejects_a_character_of_another_degree():
+    for chi in (trivial_character(2), Character([0, 0, 0, 1])):
+        with pytest.raises(ValueError, match="degree"):
+            representation_well_defined(cyclic_group(3), chi)
+
+
+def test_audit_rejects_a_conflict_free_nontrivial_closure(monkeypatch):
+    # the theorem rules this out, so an audit that meets it has a bug
+    monkeypatch.setattr(Character, "is_trivial", lambda self: False)
+    for q in (cyclic_group(1), cyclic_group(3), subtraction_mod(3)):
+        with pytest.raises(RuntimeError, match="internal error"):
+            representation_well_defined(q, trivial_character(q.order))
 
 
 @st.composite

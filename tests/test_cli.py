@@ -6,10 +6,16 @@ or format errors (message on stderr).
 """
 
 import json
+import os
+import subprocess
+import sys
+from functools import partial
 
 import pytest
 
+import quasilab
 from quasilab.cli import main
+from quasilab.identities import builtin_identity, pretty
 from quasilab.reports import validate_report
 
 Z3_TEXT = "3\n0 1 2\n1 2 0\n2 0 1\n"
@@ -339,20 +345,48 @@ def test_kunen_scan_modular(tmp_path, capsys):
 def test_kunen_scan_malformed_checkpoint_is_a_usage_error(tmp_path, capsys):
     # exit 1 means the property failed, so a bad checkpoint must exit 2
     header = {"order": 3, "identity": "(((x*y)*z)*y) = (x*(y*(z*y)))", "kind": "kunen"}
+    commutative = {**header, "identity": pretty(builtin_identity("commutativity"))}
     entry = {"total": 2, "counterexamples": []}
+
+    def one(counts):
+        return {**header, "completed": {"0,1,2": counts, "0,2,1": entry}}
+
     bad = {
         "list": [],
         "no_total": {**header, "completed": {"0,1,2": {"counterexamples": []}}},
         "no_counterexamples": {**header, "completed": {"0,1,2": {"total": 2}}},
         "entry_not_object": {**header, "completed": {"0,1,2": [], "0,2,1": entry}},
         "completed_not_object": {**header, "completed": []},
+        "text_count": one({"total": "2", "counterexamples": []}),
+        "true_count": one({"total": True, "counterexamples": []}),
+        "negative_count": one({**entry, "n1": -1}),
+        "counterexamples_not_list": one({"total": 2, "counterexamples": {}}),
+        "short_table": {
+            **commutative,
+            "completed": {"0,1,2": {"total": 2, "n1": 1, "counterexamples": [[[1]]]}},
+        },
+        "entry_out_of_range": one({**entry, "counterexamples": [[[0, 1, 2]] * 2 + [[0, 1, 3]]]}),
+        "boolean_entry": one({**entry, "counterexamples": [[[0, 1, 2]] * 2 + [[0, 1, True]]]}),
     }
     for name, doc in bad.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        assert main(["kunen-scan", "--order", "3", "--checkpoint", str(path)]) == 2, name
+        argv = ["kunen-scan", "--order", "3", "--checkpoint", str(path)]
+        if name == "short_table":
+            argv += ["--builtin", "commutativity"]
+        assert main(argv) == 2, name
         assert str(path) in capsys.readouterr().err
         assert json.loads(path.read_text()) == doc  # left as it was
+
+
+def test_python_dash_m_runs_the_cli():
+    # a fresh interpreter that finds the package where this one did
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasilab.__file__))}
+    run = partial(subprocess.run, capture_output=True, text=True, env=env, timeout=60)
+    assert run([sys.executable, "-m", "quasilab", "--help"]).returncode == 0
+    usage = run([sys.executable, "-m", "quasilab", "kunen-scan", "--order", "0"])
+    assert usage.returncode == 2
+    assert "order must be >= 1" in usage.stderr
 
 
 def test_report_validate_round_trip(tables, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Stabilizer-chain groups: order, membership, orbits, multiplication groups."""
 
+import random
 from math import factorial
 
 import pytest
@@ -120,14 +121,53 @@ def test_order_divides_degree_factorial():
 
 
 def test_construction_is_deterministic():
-    q = subtraction_mod(5)
-    a = lmlt(q)
-    b = lmlt(q)
+    # two instances: lmlt keeps its group on the instance it was built from
+    a = lmlt(subtraction_mod(5))
+    b = lmlt(subtraction_mod(5))
+    assert a is not b
     assert a.base == b.base
     assert a.order == b.order
     assert [g.images for g in a.strong_generators] == [
         g.images for g in b.strong_generators
     ]
+
+
+def test_chain_is_pinned_on_seeded_squares():
+    # mlt --json reports the base, so the chain is part of the output:
+    # base and strong-generator count of LMlt, RMlt and Mlt
+    expected = [
+        [((2, 0, 3, 1, 4), 10), ((1, 0, 2, 3, 4), 10), ((2, 0, 1, 3, 4), 14)],
+        [((0, 1, 2, 3, 4), 12), ((0, 1, 4, 2, 3), 11), ((0, 1, 2, 3, 4), 15)],
+        [((1, 0, 3, 2, 4), 11), ((1, 0, 2, 3, 4), 10), ((1, 0, 3, 2, 4), 16)],
+        [((1, 0, 2, 4, 3), 11), ((1, 0, 2, 3, 4), 11), ((1, 0, 2, 4, 3), 17)],
+    ]
+    for square, chains in zip(sample_latin_squares(6, 4, seed=801), expected):
+        q = FiniteQuasigroup(square)
+        groups = (lmlt(q), rmlt(q), mlt(q))
+        assert [(g.base, len(g.strong_generators)) for g in groups] == chains
+
+
+def test_lmlt_is_built_once_per_quasigroup():
+    q = subtraction_mod(4)
+    assert lmlt(q) is lmlt(q)
+    assert lmlt(FiniteQuasigroup(q.table)) is not lmlt(q)
+
+
+def test_chains_agree_with_enumeration():
+    # every sift runs on the inverses stored beside the transversal
+    # elements, so a wrong one shows as a wrong order or membership answer;
+    # samples mostly give Sym(n), so Z_n supplies the non-members
+    rng = random.Random(48)
+    for n, count in ((4, 3), (5, 3), (6, 2), (7, 1), (8, 1)):
+        for square in sample_latin_squares(n, count, seed=40 + n) + [cyclic_group(n).table]:
+            q = FiniteQuasigroup(square)
+            for group in (lmlt(q), rmlt(q), mlt(q)):
+                members = group.elements()
+                assert group.order == len(members)
+                assert all(Perm(g) in group for g in members)
+                for _ in range(50):
+                    images = tuple(rng.sample(range(n), n))
+                    assert (Perm(images) in group) == (images in members)
 
 
 def test_elements_cap():
