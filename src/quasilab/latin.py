@@ -66,15 +66,24 @@ def enumerate_with_first_row(n: int, first_row: tuple[int, ...], emit=None) -> i
     return count
 
 
-def _backtrack(n: int, first_row, rng):
+def _backtrack(n: int, first_row, rng, allowed=None, row_check=None):
     """Generator over Latin squares via row/column bitmask backtracking.
 
     With rng None, candidates are tried in increasing value order, which
     makes the overall emission order lexicographic row-major.  With an
     rng, candidate order is shuffled per cell (used by sampling, which
     stops after the first hit).
+
+    allowed, a list of n * n value masks in row-major cell order, limits
+    the values each cell the search fills may take (a given first row is
+    taken as it is).
+    row_check(grid, r) is called with rows 0..r of grid filled, each time
+    row r is completed (the first row included); a row it rejects is
+    backtracked like a cell with no candidate left.
     """
     full = (1 << n) - 1
+    if allowed is None:
+        allowed = [full] * (n * n)
     grid = [[0] * n for _ in range(n)]
     row_mask = [0] * n
     col_mask = [0] * n
@@ -84,6 +93,8 @@ def _backtrack(n: int, first_row, rng):
             grid[0][c] = v
             row_mask[0] |= 1 << v
             col_mask[c] |= 1 << v
+        if row_check is not None and not row_check(grid, 0):
+            return
         start = n
 
     # iterative stack of (pos, remaining-candidates mask or list)
@@ -93,7 +104,7 @@ def _backtrack(n: int, first_row, rng):
 
     def candidates(pos):
         r, c = divmod(pos, n)
-        avail = full & ~(row_mask[r] | col_mask[c])
+        avail = allowed[pos] & ~(row_mask[r] | col_mask[c])
         if rng is None:
             return avail
         vals = [v for v in range(n) if avail >> v & 1]
@@ -125,6 +136,8 @@ def _backtrack(n: int, first_row, rng):
                 col_mask[cc] ^= bit
             continue
         grid[r][c] = v
+        if c == n - 1 and row_check is not None and not row_check(grid, r):
+            continue  # the completed row fails: try this cell's next candidate
         bit = 1 << v
         row_mask[r] |= bit
         col_mask[c] |= bit

@@ -17,6 +17,8 @@ rows and columns of the Cayley table.
 
 from __future__ import annotations
 
+import math
+
 from .cayley import FiniteQuasigroup
 from .perm import DegreeMismatch, Perm, compose_images, invert_images, orbits
 
@@ -85,6 +87,10 @@ def _build_bsgs(gens: list[tuple], degree: int):
     for level in range(len(base)):
         recompute_transversal(level)
 
+    # Each added strong generator strictly enlarges a group of the chain,
+    # which is at most degree levels deep, so that group's order at least
+    # doubles, below degree!; more additions than this mean sifting is broken.
+    additions, max_additions = 0, degree * math.factorial(degree).bit_length()
     i = len(base) - 1
     while i >= 0:
         trans = transversals[i]
@@ -103,6 +109,12 @@ def _build_bsgs(gens: list[tuple], degree: int):
                 j += i + 1
                 if residue == identity:
                     continue
+                additions += 1
+                if additions > max_additions:
+                    raise RuntimeError(
+                        "internal error: Schreier-Sims added more strong generators "
+                        f"than a chain in Sym({degree}) admits"
+                    )
                 if j == len(base):
                     new_point = min(p for p in range(degree) if residue[p] != p)
                     base.append(new_point)

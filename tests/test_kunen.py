@@ -1,8 +1,9 @@
 """Order scans: the loop-forcing property, checkpoints, identity overrides.
 
-Full scans walk one first row per relabelling orbit.  The tests hold
-them against an unreduced walk of every first row, and check on random
-squares that relabelling preserves everything a scan tallies.
+Full scans search one first row per relabelling orbit, pruned by the
+identity.  The tests hold them against an unreduced walk of every square
+of every first row and against counts from group theory, and check on
+random squares that relabelling preserves everything a scan tallies.
 """
 
 import itertools
@@ -10,12 +11,13 @@ import json
 import os
 from collections import Counter
 from functools import partial
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasilab import kunen
+from quasilab import identities, kunen
 from quasilab.cayley import parse_table_text, validate_cayley
 from quasilab.identities import (
     UnknownIdentityError,
@@ -28,6 +30,7 @@ from quasilab.identities import (
 from quasilab.kunen import conjugate, first_row_orbits, kunen_scan, modular_scan
 from quasilab.latin import (
     OrderTooLarge,
+    count_latin_squares_memoized,
     enumerate_with_first_row,
     first_rows,
     sample_latin_squares,
@@ -313,7 +316,14 @@ def _unreduced_walk(n: int, kind: str, identity_text: str) -> dict:
 
 ORACLE_CASES = [
     (n, kind, "N1") for n in range(1, 5) for kind in ("kunen", "modular")
-] + [(3, "kunen", "commutativity"), (4, "kunen", "commutativity"), (5, "kunen", "N1")]
+] + [
+    (3, "kunen", "commutativity"),
+    (4, "kunen", "commutativity"),
+    (5, "kunen", "N1"),
+    (5, "modular", "N1"),
+    (4, "kunen", "moufang_left"),
+    (4, "kunen", "associativity"),
+]
 
 
 @pytest.mark.parametrize("n, kind, name", ORACLE_CASES)
@@ -331,6 +341,70 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
         # the relabelled counterexamples must also be sorted
         found = [len(e["counterexamples"]) for e in completed.values()]
         assert sum(found) == {3: 3, 4: 80}[n]
+
+
+def _cyclic(n: int):
+    return [[(x + y) % n for y in range(n)] for x in range(n)]
+
+
+def _symmetric3():
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+
+
+# every group of order n <= 6, each built from its own rule
+GROUPS = {
+    1: [_cyclic(1)],
+    2: [_cyclic(2)],
+    3: [_cyclic(3)],
+    4: [_cyclic(4), [[x ^ y for y in range(4)] for x in range(4)]],
+    5: [_cyclic(5)],
+    6: [_cyclic(6), _symmetric3()],
+}
+
+
+def _automorphism_count(table) -> int:
+    n = len(table)
+    return sum(
+        all(phi[table[x][y]] == table[phi[x]][phi[y]] for x in range(n) for y in range(n))
+        for phi in itertools.permutations(range(n))
+    )
+
+
+def test_group_oracle_counts_the_labelled_groups():
+    labelled = {
+        n: sum(factorial(n) // _automorphism_count(g) for g in groups)
+        for n, groups in GROUPS.items()
+    }
+    assert labelled == {1: 1, 2: 2, 3: 3, 4: 16, 5: 30, 6: 480}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_full_scan_counts_match_group_theory(n):
+    """Satisfiers are the labelled groups, loops n times the reduced squares.
+
+    An (N1) quasigroup is a Moufang loop (Kunen 1996), and a Moufang loop
+    of order below 12 is a group (Chein 1978), so the satisfiers are the
+    n!/|Aut G| labelled copies of each group G of order n.  A loop with
+    identity e relabels by the transposition (0 e) onto one with identity
+    0, whose table is a reduced square.
+    """
+    r = kunen_scan(n)
+    assert r.n1_count == r.n1_loop_count
+    assert r.n1_count == sum(factorial(n) // _automorphism_count(g) for g in GROUPS[n])
+    reduced = count_latin_squares_memoized(n) // (factorial(n) * factorial(n - 1))
+    assert r.loop_count == n * reduced
+
+
+def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
+    monkeypatch.setitem(identities._BUILTIN_TEXT, "left_division", "(x\\(x*y)) = y")
+    for scan in (kunen_scan, modular_scan):
+        with pytest.raises(ValueError, match="multiplication only"):
+            scan(3, identity_name="left_division")
+    # a sample checks whole squares, on which divisions are defined
+    r = kunen_scan(3, mode="sample", sample_size=5, identity_name="left_division",
+                   counterexample_dir=str(tmp_path))
+    assert r.n1_count == 5
 
 
 @pytest.mark.parametrize("scan, kind", [(kunen_scan, "kunen"), (modular_scan, "modular")])

@@ -7,6 +7,7 @@ from quasilab.latin import (
     FULL_ENUMERATION_LIMIT,
     SAMPLING_LIMIT,
     OrderTooLarge,
+    _backtrack,
     count_latin_squares_bruteforce,
     count_latin_squares_memoized,
     enumerate_latin_squares,
@@ -44,6 +45,26 @@ def test_emission_is_lexicographic_row_major():
     assert flat == sorted(flat)
     # the first order-3 square is the cyclic group table
     assert squares[0] == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def test_masks_and_row_checks_filter_the_enumeration():
+    squares = []
+    enumerate_latin_squares(4, squares.append)
+    allowed = [15] * 16
+    allowed[5] = 1 << 2  # cell (1, 1) holds 2
+    checked = []
+
+    def identity_column(grid, r):  # rows 0..r are complete
+        checked.append([row[:] for row in grid[: r + 1]])
+        return grid[r][0] == r
+
+    got = list(_backtrack(4, None, None, allowed, identity_column))
+    assert got == [
+        sq for sq in squares if sq[1][1] == 2 and all(sq[r][0] == r for r in range(4))
+    ]
+    assert all(sorted(row) == [0, 1, 2, 3] for rows in checked for row in rows)
+    # a first row the row check rejects yields nothing
+    assert list(_backtrack(4, (1, 0, 2, 3), None, allowed, identity_column)) == []
 
 
 def test_emitted_squares_are_latin():

@@ -5,9 +5,10 @@ from math import factorial
 
 import pytest
 
+from quasilab import permgroup
 from quasilab.cayley import FiniteQuasigroup, cyclic_group, subtraction_mod
 from quasilab.latin import sample_latin_squares
-from quasilab.perm import DegreeMismatch, Perm
+from quasilab.perm import DegreeMismatch, Perm, compose_images
 from quasilab.permgroup import ElementCapExceeded, generate, lmlt, mlt, rmlt
 
 
@@ -145,6 +146,24 @@ def test_chain_is_pinned_on_seeded_squares():
         q = FiniteQuasigroup(square)
         groups = (lmlt(q), rmlt(q), mlt(q))
         assert [(g.base, len(g.strong_generators)) for g in groups] == chains
+
+
+def test_a_sifting_defect_fails_instead_of_hanging(monkeypatch):
+    # sifting with the transversal element in place of its inverse never
+    # reaches the identity, so without a bound on the strong generators
+    # construction runs forever on this square
+    def faulty_strip(g, base, transversals):
+        for i, b in enumerate(base):
+            t = transversals[i].get(g[b])
+            if t is None:
+                return g, i
+            g = compose_images(t[0], g)
+        return g, len(base)
+
+    monkeypatch.setattr(permgroup, "_strip", faulty_strip)
+    q = FiniteQuasigroup(((3, 0, 1, 2), (1, 2, 0, 3), (0, 3, 2, 1), (2, 1, 3, 0)))
+    with pytest.raises(RuntimeError, match="internal error"):
+        lmlt(q)
 
 
 def test_lmlt_is_built_once_per_quasigroup():
