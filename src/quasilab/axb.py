@@ -11,7 +11,10 @@ Unlike the finite modules this one is inherently approximate; tolerances
 are part of every contract.  Test functions are compactly supported
 polynomial bumps so that supports, and their pullbacks under the
 translations being tested, stay inside {a > 0} where the density is
-finite.
+finite.  Each integral runs over the exact pullback of the support box:
+a box for the identity and left translations, a sheared box (a
+parallelogram) for right translations, so no quadrature cell straddles
+a support edge.
 """
 
 from __future__ import annotations
@@ -222,8 +225,20 @@ def _adaptive_quadrature(func, box, tol: float, max_depth: int) -> float:
     raise ToleranceNotReached(max_depth, len(cells), accepted + float(coarse.sum()))
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    # nan compares false and inf accepts anything, so both are refused
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and above 0, got {value}")
+
+
 def _pulled_back_box(f: TestFunction, translate) -> tuple[float, float, float, float]:
-    """Bounding box of {p : T(p) in supp f} for T absent, L_g, or R_g."""
+    """Exact integration box of {p : T(p) in supp f} for T absent, L_g, or R_g.
+
+    For T absent or L_g the pullback is a box, returned in the (a, b)
+    coordinates of p.  For R_g it is a parallelogram, returned as the box
+    of the unit-Jacobian shear (a, s) -> p = (a, s - beta a) that maps
+    onto it.
+    """
     a_lo, a_hi, b_lo, b_hi = f.support
     if translate is None:
         return a_lo, a_hi, b_lo, b_hi
@@ -238,13 +253,9 @@ def _pulled_back_box(f: TestFunction, translate) -> tuple[float, float, float, f
             (b_hi - beta) / alpha,
         )
     if side == "right":
-        # R_g(p) = (alpha p.a, p.b + beta p.a): the preimage of the box
-        # is a parallelogram; bound its b-extent over the a-range
-        pa_lo = a_lo / alpha
-        pa_hi = a_hi / alpha
-        shift_lo = min(beta * pa_lo, beta * pa_hi)
-        shift_hi = max(beta * pa_lo, beta * pa_hi)
-        return pa_lo, pa_hi, b_lo - shift_hi, b_hi - shift_lo
+        # R_g(p) = (alpha p.a, p.b + beta p.a) sends the sheared box onto
+        # supp f: s = p.b + beta p.a runs over [b_lo, b_hi]
+        return a_lo / alpha, a_hi / alpha, b_lo, b_hi
     raise ValueError(f"translate side must be 'left' or 'right', got {side!r}")
 
 
@@ -254,11 +265,18 @@ def integrate(
     tol: float = 1e-8,
     max_depth: int = 30,
 ) -> float:
-    """Integral of f(T(p)) / a^2 da db over the pulled-back support box.
+    """Integral of f(T(p)) / a^2 da db over the exact pullback of supp f.
 
     translate is None (T = identity), ("left", g) for T = L_g, or
-    ("right", g) for T = R_g.  The integration box must lie in {a > 0}.
+    ("right", g) for T = R_g.  The pullback is a box for the identity and
+    L_g, and a parallelogram for R_g, integrated in the sheared
+    coordinates (a, s) with p = (a, s - beta a); the shear has Jacobian 1,
+    so the integrand is still f(R_g p) / a^2.  The pullback must lie in
+    {a > 0}.  tol is relative and must be finite and above 0.
     """
+    _require_finite_positive("tol", tol)
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     box = _pulled_back_box(f, translate)
     if box[0] <= 0:
         raise SupportOutOfDomain(
@@ -272,7 +290,8 @@ def integrate(
         if side == "left":
             func = lambda a, b: f.values(alpha * a, beta + alpha * b) / (a * a)
         else:
-            func = lambda a, b: f.values(alpha * a, b + beta * a) / (a * a)
+            # p = (a, s - beta a) on the sheared box; R_g p = (alpha a, p.b + beta a)
+            func = lambda a, s: f.values(alpha * a, (s - beta * a) + beta * a) / (a * a)
     return _adaptive_quadrature(func, box, tol, max_depth)
 
 
@@ -298,8 +317,12 @@ def run_verification_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and above 0, got {tol}")
+    _require_finite_positive("tol", tol)
+    _require_finite_positive("quad_tol", quad_tol)
+    counts = (("arithmetic_pairs", arithmetic_pairs), ("jacobian_points", jacobian_points))
+    for name, count in counts:
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     start = time.perf_counter()
     rng = random.Random(seed)
 

@@ -211,7 +211,8 @@ def test_criterion_6_affine_group_suite(capsys):
         6,
         ok,
         f"100-trial integral suite passed in {report['elapsed']:.1f}s (limit 60s); "
-        f"worst left-invariance error {errors['left_invariance']:.2e}",
+        f"worst left-invariance error {errors['left_invariance']:.2e}, "
+        f"right-scaling error {errors['right_scaling']:.2e}",
     )
     assert report["passed"], report["failures"]
     assert report["elapsed"] < 60.0

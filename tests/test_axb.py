@@ -2,10 +2,12 @@
 
 The quadrature gets a genuinely independent oracle: for a product bump
 the density integral separates, and each factor reduces to an exact
-rational-plus-logarithm antiderivative computed here with Fractions.
+rational-plus-logarithm antiderivative computed here with Fractions,
+the logarithm and the final sum in 60-digit Decimal.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -102,37 +104,122 @@ def _poly_mul(p, q):
     return out
 
 
-def _closed_form_baseline():
-    """Exact value of the density integral of the standard test bump.
+def _poly_pow(p, k):
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = _poly_mul(out, p)
+    return out
 
-    f = TestFunction(2, 0, 1/2, 1/2, smoothness=3); the integral of
-    f(a,b)/a^2 factors into a b-part (pure polynomial) and an a-part
-    that substitutes to 2 * integral over u in [3,5] of (1-(u-4)^2)^3/u^2,
-    a rational number plus a rational multiple of ln(5/3).
+
+def _dec(x: Fraction) -> Decimal:
+    """x to the precision of the current Decimal context."""
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _closed_form_baseline(f):
+    """Exact value of the density integral of the bump f, as a Decimal.
+
+    The floats of f are read as the Fractions they are.  The integral of
+    f(a,b)/a^2 factors into a b-part, r_b times the integral of (1-t^2)^k
+    over [-1,1], and an a-part, the integral of P(a)/a^2 over [lo, hi]
+    for the polynomial P(a) = (1 - ((a-c_a)/r_a)^2)^k.  Term by term that
+    is a rational number plus P's linear coefficient times ln(hi/lo).
+    The two nearly cancel when c_a/r_a is large (a float log loses 6e-8
+    at c_a/r_a near 15), so they are summed in 60-digit Decimal.
     """
-    # b-part: (1/2) * integral of (1-s^2)^3 over [-1,1] = 16/35
-    b_part = Fraction(16, 35)
-    # a-part: coefficients of (1 - (u-4)^2)^3 = (-u^2 + 8u - 15)^3
-    p1 = [Fraction(-15), Fraction(8), Fraction(-1)]
-    q = _poly_mul(_poly_mul(p1, p1), p1)
-    rational = q[0] * Fraction(2, 15)  # integral of u^-2 over [3,5]
-    for k in range(2, len(q)):
-        rational += q[k] * Fraction(5**(k - 1) - 3**(k - 1), k - 1)
-    log_coeff = q[1]  # multiplies ln(5/3)
-    a_part = 2 * (float(rational) + float(log_coeff) * math.log(Fraction(5, 3)))
-    return float(b_part) * a_part
+    ca, ra, rb = map(Fraction, (f.center_a, f.radius_a, f.radius_b))
+    k = f.smoothness
+    b_poly = _poly_pow([Fraction(1), Fraction(0), Fraction(-1)], k)
+    b_part = rb * sum(c * Fraction(2, i + 1) for i, c in enumerate(b_poly) if i % 2 == 0)
+    t = [-ca / ra, 1 / ra]  # (a - c_a) / r_a
+    q = _poly_pow([1 - t[0] ** 2, -2 * t[0] * t[1], -t[1] ** 2], k)
+    lo, hi = ca - ra, ca + ra
+    rational = q[0] * (1 / lo - 1 / hi)
+    for i in range(2, len(q)):
+        rational += q[i] * (hi ** (i - 1) - lo ** (i - 1)) / (i - 1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (_dec(rational) + _dec(q[1]) * (_dec(hi) / _dec(lo)).ln()) * _dec(b_part)
 
 
 def test_integral_matches_the_closed_form():
     f = TestFunction(2.0, 0.0, 0.5, 0.5, smoothness=3)
-    expected = _closed_form_baseline()
+    expected = float(_closed_form_baseline(f))
     got = integrate(f, tol=1e-9)
     assert abs(got - expected) <= 1e-8 * abs(expected)
+
+
+# Trial 104 of run_verification_suite(trials=400, seed=5).  Integrated
+# over a bounding box of its pullback, the right integral crossed the
+# support's slanted edges inside cells, and the error estimate accepted
+# a value 1.6e-7 off at both tol=1e-8 and tol=1e-10.
+TRIAL_104_BUMP = TestFunction(
+    3.905918575987138, -0.9589854771533997, 0.26817462520057367, 0.9280221651231517
+)
+TRIAL_104_ELEMENT = AffineElement(0.9503020886177507, 0.039798947780161686)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_right_integral_meets_its_tolerance_against_the_exact_oracle(tol):
+    f, g = TRIAL_104_BUMP, TRIAL_104_ELEMENT
+    exact = _closed_form_baseline(f)
+    expected = float(exact * Decimal(g.a))  # (R_g)_* mu = alpha mu
+    got = integrate(f, ("right", g), tol=tol)
+    assert abs(got - expected) <= tol * expected
+    assert abs(integrate(f, tol=tol) - float(exact)) <= tol * float(exact)
+
+
+class CountingBump(TestFunction):
+    """A TestFunction that tallies the integrand points it is evaluated at."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "points", 0)
+
+    def values(self, a, b):
+        out = super().values(a, b)
+        object.__setattr__(self, "points", self.points + out.size)
+        return out
+
+
+def _points(f, translate):
+    before = f.points
+    integrate(f, translate)
+    return f.points - before
+
+
+@pytest.mark.parametrize("bump", [
+    (2.0, 0.0, 0.4, 0.6),
+    (3.9, -1.0, 0.27, 0.93),
+    (1.2, 2.5, 0.5, 1.5),
+])
+def test_sheared_right_integral_does_no_more_work_than_the_baseline(bump):
+    # a bounding box of the parallelogram took about 200 times the
+    # baseline's points; the exact sheared box takes about as many
+    f = CountingBump(*bump)
+    baseline = _points(f, None)
+    for g in (AffineElement(0.95, 0.04), AffineElement(1.7, -1.9), AffineElement(0.6, 2.0)):
+        assert _points(f, ("right", g)) <= 2 * baseline
 
 
 def test_integrate_is_deterministic():
     f = TestFunction(2.5, 1.0, 0.4, 0.8)
     assert integrate(f) == integrate(f)
+    g = AffineElement(1.3, -1.7)
+    first = integrate(f, ("right", g))
+    assert integrate(f, ("right", g)).hex() == first.hex()
+
+
+def test_integrate_rejects_bad_tolerance_and_depth():
+    # tol=0 would refine to the cell cap; nan and negative tolerances
+    # accept nothing
+    f = TestFunction(2.0, 0.0, 0.5, 0.5)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrate(f, tol=bad)
+    with pytest.raises(ValueError):
+        integrate(f, max_depth=-1)
+    assert integrate(f, max_depth=0, tol=1e-2) > 0.0
 
 
 def test_left_invariance_of_the_integral():
@@ -191,6 +278,15 @@ def test_verification_suite_passes_and_validates():
     for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):
             run_verification_suite(trials=1, tol=bad)
+        with pytest.raises(ValueError):
+            run_verification_suite(trials=1, quad_tol=bad)
+    # negative counts used to run silently as 0
+    with pytest.raises(ValueError):
+        run_verification_suite(trials=1, arithmetic_pairs=-1)
+    with pytest.raises(ValueError):
+        run_verification_suite(trials=1, jacobian_points=-1)
+    empty = run_verification_suite(trials=1, arithmetic_pairs=0, jacobian_points=0)
+    assert empty["passed"]
 
 
 def test_verification_suite_is_seed_deterministic():
