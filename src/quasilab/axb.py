@@ -5,7 +5,9 @@ left Haar density da db / a^2, modular function Delta(a,b) = 1/a.  This
 module checks, in double precision: the group axioms, the two Jacobian
 determinants (alpha^2 for left translation, alpha for right), left
 invariance of the Haar integral, the right-translation scaling
-(R_(alpha,beta))_* mu = alpha mu, and multiplicativity of Delta.
+(R_(alpha,beta))_* mu = alpha mu, its agreement with
+Delta(g^-1) = |det Ad(g)| from the Jacobian of conjugation, and
+multiplicativity of Delta.
 
 Unlike the finite modules this one is inherently approximate; tolerances
 are part of every contract.  Test functions are compactly supported
@@ -395,10 +397,13 @@ def run_verification_suite(
         max_left_inv = max(max_left_inv, _rel_err(left, baseline))
         factor = right / baseline
         max_right_scale = max(max_right_scale, _rel_err(factor, g.a))
-        max_delta_consistency = max(
-            max_delta_consistency,
-            _rel_err(factor, modular_function(affine_inv(g))),
+        # Delta(g^-1) = |det Ad(g)|, Ad(g) the Jacobian of p -> g p g^-1 at
+        # the identity: by the chain rule, R_(g^-1) at e and then L_g at g^-1
+        g_inv = affine_inv(g)
+        det_ad = numeric_jacobian("left", g, g_inv, jacobian_step) * numeric_jacobian(
+            "right", g_inv, IDENTITY, jacobian_step
         )
+        max_delta_consistency = max(max_delta_consistency, _rel_err(factor, abs(det_ad)))
 
     elapsed = time.perf_counter() - start
     arithmetic_tol = 1e-12

@@ -40,7 +40,7 @@ from .identities import (
     pretty,
 )
 from .kunen import kunen_scan, modular_scan
-from .measures import NoPositiveSolution, solve_quasi_invariant
+from .measures import solve_quasi_invariant
 from .permgroup import lmlt, mlt, rmlt
 from .reports import UnknownReportKind, validate_report
 
@@ -179,12 +179,7 @@ def _cmd_mlt(args) -> int:
 
 def _cmd_measure(args) -> int:
     q = _load_table(args.table)
-    try:
-        sol = solve_quasi_invariant(q)
-    except NoPositiveSolution as exc:
-        _say(args, f"no positive invariant measure: {exc}")
-        print(json.dumps({"error": str(exc)}))
-        return 1
+    sol = solve_quasi_invariant(q)
     doc = {
         "kind": "measure",
         "order": q.order,
@@ -446,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--modular",
         action="store_true",
-        help="solve measures on each satisfier instead of tallying loops",
+        help="report the invariant measures of the satisfiers instead of the loops",
     )
     p.set_defaults(handler=_cmd_kunen_scan)
 

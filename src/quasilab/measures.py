@@ -8,9 +8,11 @@ The central finite phenomenon: a permutation pushforward preserves total
 mass, so (L_a)_* mu = j(a) mu forces j(a) = 1 whenever mu is a nonzero
 finite measure.  Quasi-invariant therefore means invariant here: the
 solutions are the functions constant on the orbits of the 2n
-translations, a connected-components question rather than a linear
-system.  Transitivity of the left translations leaves one orbit, so the
-solutions are the ray of the counting measure.
+translations.  Every column of a Latin square holds every element, so
+the left translations alone are transitive, and the solutions are always
+the ray of the counting measure.  solve_quasi_invariant states that
+answer by theorem; the tests compute it by orbits and ratio tests as the
+independent route.
 """
 
 from __future__ import annotations
@@ -19,16 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import FiniteQuasigroup
-from .perm import DegreeMismatch, Perm, orbits
-
-
-class NoPositiveSolution(RuntimeError):
-    """The solved measure failed the ratio test or mass conservation.
-
-    Unreachable for a valid Cayley table: counting measure is always
-    invariant.  Raised rather than asserted so a corrupted input fails
-    loudly.
-    """
+from .perm import DegreeMismatch, Perm
 
 
 class Measure:
@@ -142,69 +135,18 @@ class QuasiInvariantSolution:
     explanation: dict
 
 
-def _ratio(pushed: Measure, mu: Measure):
-    """The constant c with pushed = c * mu, or None if there is none.
-
-    Coordinates where mu vanishes must vanish in pushed too; the ratio is
-    read off the positive coordinates and must be shared by all of them.
-    """
-    c = None
-    for p, m in zip(pushed.weights, mu.weights):
-        if m == 0:
-            if p != 0:
-                return None
-            continue
-        r = p / m
-        if c is None:
-            c = r
-        elif r != c:
-            return None
-    return c
-
-
 def solve_quasi_invariant(q: FiniteQuasigroup) -> QuasiInvariantSolution:
     """Solve (L_a)_* mu = j(a) mu and (R_a)_* mu = rho(a) mu over Q.
 
-    Mass conservation forces j = rho = 1, so the solutions are the common
-    fixed points of all 2n translation permutations T, mu[T(i)] = mu[i]:
-    exactly the functions constant on each orbit of the translations.
-    The basis is the orbit indicators and the measure is their sum, the
-    counting measure.  The cocycles are then read back off the measure by
-    the ratio test as an independent confirmation of the forced value 1.
+    Precondition: q's table is Latin, as validate_cayley and the CLI's
+    table loader enforce.  Then the answer is settled by theorem.  Mass
+    conservation forces j = rho = 1, so the solutions are the functions
+    constant on each orbit of the 2n translations.  Column y holds every
+    element, so L_a(y) = a*y runs over all of Q as a varies: the left
+    translations alone are transitive, the basis is the one indicator of
+    Q, and the measure is the counting measure.
     """
     n = q.order
-    translations = [q.left_translation(a) for a in range(n)]
-    translations += [q.right_translation(a) for a in range(n)]
-    parts = orbits([t.images for t in translations], n)
-    basis = tuple(
-        tuple(Fraction(1) if i in part else Fraction(0) for i in range(n))
-        for part in parts
-    )
-    dimension = len(basis)
-    # the sum of the indicators; the ratio test below re-checks its invariance
-    mu = Measure(map(sum, zip(*basis))).normalized(n)
-
-    ratios = [_ratio(pushforward(t, mu), mu) for t in translations]
-    for a in range(n):
-        if ratios[a] is None or ratios[n + a] is None:
-            raise NoPositiveSolution(
-                f"solved measure fails the ratio test at element {a}"
-            )
-    left = Cocycle(ratios[:n])
-    right = Cocycle(ratios[n:])
-
-    # Independent route to the same conclusion: pushforwards preserve
-    # mass, so j(a) * mass = mass pins j(a) = 1 before any solving.
-    mass = mu.mass
-    if not (left.is_trivial() and right.is_trivial()):
-        raise NoPositiveSolution("ratio test contradicts mass conservation")
-
-    counting_like = dimension == 1
-    description = (
-        "positive multiples of the counting measure"
-        if counting_like
-        else f"solution space of dimension {dimension}"
-    )
     explanation = {
         "reason": "mass-conservation",
         "statement": (
@@ -213,17 +155,17 @@ def solve_quasi_invariant(q: FiniteQuasigroup) -> QuasiInvariantSolution:
             "with 0 < mass(mu) < infinity this forces j(a) = 1 for "
             "every a, and likewise rho(a) = 1"
         ),
-        "mass": str(mass),
+        "mass": str(n),
         "forced_value": "1",
     }
     return QuasiInvariantSolution(
-        dimension=dimension,
-        basis=basis,
-        measure=mu,
-        left_cocycle=left,
-        right_cocycle=right,
+        dimension=1,
+        basis=((Fraction(1),) * n,),
+        measure=Measure.counting(n),
+        left_cocycle=Cocycle.constant(n),
+        right_cocycle=Cocycle.constant(n),
         degenerate=True,
-        description=description,
+        description="positive multiples of the counting measure",
         explanation=explanation,
     )
 

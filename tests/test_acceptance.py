@@ -115,8 +115,9 @@ def test_criterion_2_counting_measure_invariance_and_solver(corpus, solutions, c
         capsys,
         2,
         ok,
-        f"counting measure exactly invariant on {invariant}/{len(corpus)}; "
-        f"solver returns trivial cocycles and dimension 1 on {solved}/{len(corpus)} "
+        f"counting measure exactly invariant under every pushforward on "
+        f"{invariant}/{len(corpus)} (the independent route); solver, settled by "
+        f"theorem, returns trivial cocycles and dimension 1 on {solved}/{len(corpus)} "
         f"in {solve_elapsed + elapsed:.1f}s ({solve_elapsed:.1f}s solving)",
     )
     assert invariant == len(corpus)

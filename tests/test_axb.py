@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasilab import axb
 from quasilab.axb import (
     IDENTITY,
     AffineElement,
@@ -293,3 +294,22 @@ def test_verification_suite_is_seed_deterministic():
     a = run_verification_suite(trials=3, seed=7, arithmetic_pairs=50, jacobian_points=2)
     b = run_verification_suite(trials=3, seed=7, arithmetic_pairs=50, jacobian_points=2)
     assert a["max_errors"] == b["max_errors"]
+
+
+def test_modular_consistency_fails_apart_from_right_scaling(monkeypatch):
+    # Delta(g^-1) now comes from the Jacobian of conjugation, not from g.a,
+    # so a Jacobian 1 % off fails it while the integral checks still pass
+    exact = run_verification_suite(trials=5, seed=3, arithmetic_pairs=10, jacobian_points=0)
+    errors = exact["max_errors"]
+    assert 0 < errors["modular_consistency"] <= 1e-10
+    assert errors["modular_consistency"] != errors["right_scaling"]
+
+    def skewed(*args, **kwargs):
+        return 1.01 * numeric_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(axb, "numeric_jacobian", skewed)
+    report = run_verification_suite(trials=5, seed=3, arithmetic_pairs=10, jacobian_points=0)
+    assert "modular_consistency" in report["failures"]
+    assert "right_scaling" not in report["failures"]
+    assert "left_invariance" not in report["failures"]
+    assert report["max_errors"]["right_scaling"] == errors["right_scaling"]

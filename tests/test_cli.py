@@ -201,6 +201,47 @@ def test_measure(tables, tmp_path, capsys):
     assert doc["explanation"]["reason"] == "mass-conservation"
 
 
+def test_measure_document_on_z3(tables, tmp_path, capsys):
+    out = str(tmp_path / "measure.json")
+    assert main(["measure", "--table", tables["z3"], "--json", out]) == 0
+    capsys.readouterr()
+    ones = ["1", "1", "1"]
+    assert _load_report(out) == {
+        "kind": "measure",
+        "order": 3,
+        "measure": ones,
+        "left_cocycle": ones,
+        "right_cocycle": ones,
+        "dimension": 1,
+        "degenerate": True,
+        "description": "positive multiples of the counting measure",
+        "explanation": {
+            "reason": "mass-conservation",
+            "statement": (
+                "a permutation pushforward preserves total mass, so "
+                "(L_a)_*mu = j(a)*mu implies j(a)*mass(mu) = mass(mu); "
+                "with 0 < mass(mu) < infinity this forces j(a) = 1 for "
+                "every a, and likewise rho(a) = 1"
+            ),
+            "mass": "3",
+            "forced_value": "1",
+        },
+    }
+
+
+def test_measure_refuses_a_table_that_is_not_latin(tmp_path, capsys):
+    # the solver answers by theorem for Latin tables only, so a repeated
+    # column entry must stop the command before any measure is reported
+    table = tmp_path / "column.tbl"
+    table.write_text("3\n0 1 2\n1 2 0\n0 2 1\n")
+    out = tmp_path / "measure.json"
+    assert main(["measure", "--table", str(table), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "column 0 repeats value 0" in captured.err
+    assert '"kind": "measure"' not in captured.out
+    assert not out.exists()
+
+
 def test_characters_on_a_loop(tables, tmp_path, capsys):
     out = str(tmp_path / "chars.json")
     assert main(["characters", "--table", tables["z3"], "--json", out]) == 0

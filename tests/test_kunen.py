@@ -10,7 +10,7 @@ import itertools
 import json
 import os
 from collections import Counter
-from functools import partial
+from functools import cache
 from math import factorial
 
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quasilab import identities, kunen
-from quasilab.cayley import parse_table_text, validate_cayley
+from quasilab.cayley import FiniteQuasigroup, parse_table_text, validate_cayley
 from quasilab.identities import (
     UnknownIdentityError,
     builtin_identities,
@@ -35,8 +35,9 @@ from quasilab.latin import (
     first_rows,
     sample_latin_squares,
 )
-from quasilab.measures import solve_quasi_invariant
 from quasilab.reports import validate_report
+
+from measure_oracle import solve_by_orbits
 
 # order: (total, satisfying, loops, satisfying loops)
 N1_TALLIES = {
@@ -300,18 +301,40 @@ def test_first_row_orbits_partition_the_first_rows(n):
             assert {_relabelled_row(row, (0, *tail)) for row in rows} == rows
 
 
-def _unreduced_walk(n: int, kind: str, identity_text: str) -> dict:
-    """The checkpoint entries of a scan that enumerates every first row."""
+@cache
+def _unreduced_walk(n: int, identity_text: str) -> dict:
+    """The checkpoint entries of both scan kinds, keyed by kind.
+
+    The walk enumerates every square of every first row and checks each
+    square once.  A modular entry reads each satisfier's measure off the
+    orbit oracle rather than the package's solver.  The result is shared
+    between callers, who must not change it.
+    """
     identity = parse_identity(identity_text)
-    completed = {}
+    walks = {"kunen": {}, "modular": {}}
     for row in first_rows(n):
-        counts, counterexamples = Counter(), []
-        visit = partial(kunen._VISITORS[kind], identity, counts, counterexamples)
+        loops, found, measures = Counter(), [], Counter()
+
+        def visit(square):
+            q = FiniteQuasigroup(square)
+            n1, loop = check_identity(q, identity).holds, q.is_loop()
+            if n1 or loop:
+                loops["n1"] += n1
+                loops["loop"] += loop
+                loops["n1_loop"] += n1 and loop
+                if n1 and not loop:
+                    found.append(square)
+            if n1:
+                solution = solve_by_orbits(q)
+                ratios = solution.left_ratios + solution.right_ratios
+                measures["n1"] += 1
+                measures["trivial"] += all(r == 1 for r in ratios)
+                measures["dimension_one"] += solution.dimension == 1
+
         total = enumerate_with_first_row(n, row, visit)
-        completed[_key(row)] = {
-            "total": total, **counts, "counterexamples": counterexamples
-        }
-    return json.loads(json.dumps(completed))
+        walks["kunen"][_key(row)] = {"total": total, **loops, "counterexamples": found}
+        walks["modular"][_key(row)] = {"total": total, **measures, "counterexamples": []}
+    return json.loads(json.dumps(walks))
 
 
 ORACLE_CASES = [
@@ -334,7 +357,7 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
     scan(n, checkpoint=path, identity_name=name, **dumps)  # dumps kept off the cwd
     with open(path) as fh:
         completed = json.load(fh)["completed"]
-    expected = _unreduced_walk(n, kind, pretty(builtin_identity(name)))
+    expected = _unreduced_walk(n, pretty(builtin_identity(name)))[kind]
     assert completed == expected
     if name == "commutativity":
         # 3 and 80 commutative non-loops; at order 4 rows hold several, so
@@ -414,7 +437,7 @@ def test_checkpoint_of_the_unreduced_walk_resumes_with_no_units(
     path = str(tmp_path / "unreduced.json")
     with open(path, "w") as fh:
         json.dump({"order": 4, "identity": N1_TEXT, "kind": kind,
-                   "completed": _unreduced_walk(4, kind, N1_TEXT)}, fh)
+                   "completed": _unreduced_walk(4, N1_TEXT)[kind]}, fh)
     fresh = scan(4)
     calls = _count_units(monkeypatch)
     assert _fields(scan(4, checkpoint=path)) == _fields(fresh)
@@ -454,7 +477,7 @@ def test_relabelling_preserves_what_a_scan_tallies(case):
     for identity in builtin_identities().values():
         assert check_identity(q, identity).holds == check_identity(r, identity).holds
     assert q.is_loop() == r.is_loop()
-    a, b = solve_quasi_invariant(q), solve_quasi_invariant(r)
+    a, b = solve_by_orbits(q), solve_by_orbits(r)
     assert a.dimension == b.dimension
-    for side in ("left_cocycle", "right_cocycle"):
-        assert getattr(a, side).is_trivial() == getattr(b, side).is_trivial()
+    for side in ("left_ratios", "right_ratios"):
+        assert (set(getattr(a, side)) == {1}) == (set(getattr(b, side)) == {1})

@@ -1,4 +1,9 @@
-"""Pushforward calculus and the quasi-invariance solver."""
+"""Pushforward calculus and the quasi-invariance solver.
+
+The solver states its answer by theorem; the orbit and ratio-test route
+of measure_oracle and the exact nullspace of linalg_oracle are the
+independent routes it is held against.
+"""
 
 from fractions import Fraction
 
@@ -21,6 +26,7 @@ from quasilab.perm import DegreeMismatch, Perm, orbits
 from quasilab.permgroup import generate
 
 from linalg_oracle import nullspace
+from measure_oracle import solve_by_orbits
 
 
 def _difference_nullspace(gens, n):
@@ -190,6 +196,46 @@ def test_solver_on_samples():
             assert sol.dimension == 1
             assert sol.measure.mass == n
             assert sol.degenerate
+
+
+def _assert_matches_the_orbit_oracle(square):
+    q = FiniteQuasigroup(tuple(map(tuple, square)))
+    sol, oracle = solve_quasi_invariant(q), solve_by_orbits(q)
+    assert sol.dimension == oracle.dimension
+    assert sol.basis == oracle.basis
+    assert sol.measure == oracle.measure
+    assert sol.left_cocycle.values == oracle.left_ratios
+    assert sol.right_cocycle.values == oracle.right_ratios
+    assert sol.explanation["mass"] == str(oracle.measure.mass)
+
+
+def test_theorem_route_matches_the_orbit_oracle():
+    squares = []
+    for n in range(1, 5):
+        enumerate_latin_squares(n, squares.append)
+    assert len(squares) == 591
+    for n in (5, 6, 7):
+        squares += sample_latin_squares(n, 20, seed=100 + n)
+    for square in squares:
+        _assert_matches_the_orbit_oracle(square)
+
+
+@st.composite
+def latin_squares(draw):
+    """A square of order <= 7: half sampled, half Z_n relabelled by any tau."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return sample_latin_squares(n, 1, draw(st.integers(0, 2**32)))[0]
+    tau = draw(st.permutations(range(n)))
+    inverse = {t: x for x, t in enumerate(tau)}
+    return tuple(
+        tuple(tau[(inverse[x] + inverse[y]) % n] for y in range(n)) for x in range(n)
+    )
+
+
+@given(latin_squares())
+def test_theorem_route_matches_the_orbit_oracle_on_drawn_squares(square):
+    _assert_matches_the_orbit_oracle(square)
 
 
 def test_counting_measure_is_invariant():
