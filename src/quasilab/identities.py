@@ -15,6 +15,7 @@ R_y o L_{x*y} = L_x o L_y o R_y for all x, y, with (S o T)(z) = S(T(z)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -301,9 +302,10 @@ _BUILTIN_TEXT = {
 
 
 def builtin_identities() -> dict[str, Identity]:
-    return {name: parse_identity(text) for name, text in _BUILTIN_TEXT.items()}
+    return {name: builtin_identity(name) for name in _BUILTIN_TEXT}
 
 
+@functools.cache  # parsed once: an Identity is immutable, so callers may share it
 def builtin_identity(name: str) -> Identity:
     try:
         return parse_identity(_BUILTIN_TEXT[name])

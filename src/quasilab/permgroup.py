@@ -10,6 +10,13 @@ of fundamental orbit sizes.  Each transversal element is stored with its
 inverse, composed from the generators' inverses as the element is built,
 so sifting and Schreier generators never invert a permutation.
 
+Verification stops as soon as that product reaches the order bound the
+generators prove, degree! or degree!/2 when all of them are even (the
+known-order variant of Schreier-Sims).  The product is a lower bound on
+the order only while each level's group fixes the base points above it,
+so every residue is checked to fix them before it joins the chain, and a
+residue that does not is an internal error.
+
 The translation groups LMlt(Q), RMlt(Q) and Mlt(Q) of a finite
 quasigroup are the intended inputs; lmlt/rmlt/mlt build them from the
 rows and columns of the Cayley table.
@@ -42,6 +49,14 @@ def _strip(g: tuple, base, transversals):
             return g, i
         g = compose_images(t[1], g)
     return g, len(base)
+
+
+def _chain_order(transversals) -> int:
+    """The product of the transversal sizes, an exact int."""
+    order = 1
+    for trans in transversals:
+        order *= len(trans)
+    return order
 
 
 def _build_bsgs(gens: list[tuple], degree: int):
@@ -91,8 +106,15 @@ def _build_bsgs(gens: list[tuple], degree: int):
     # which is at most degree levels deep, so that group's order at least
     # doubles, below degree!; more additions than this mean sifting is broken.
     additions, max_additions = 0, degree * math.factorial(degree).bit_length()
+    # |G| is at most degree!, and half that when every generator is even.
+    # Level i's group fixes base[:i] (the residue check below keeps it so),
+    # so the product of the transversal sizes is at most |G|; once it meets
+    # the bound the chain is complete and every Schreier generator still
+    # unsifted would sift to the identity.
+    even = all((degree - len(orbits([g], degree))) % 2 == 0 for g in gens)
+    bound = math.factorial(degree) // (2 if even else 1)
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and _chain_order(transversals) != bound:
         trans = transversals[i]
         # a Schreier generator of level i fixes base[:i + 1]: sift it below
         deeper_base, deeper = base[i + 1:], transversals[i + 1:]
@@ -115,6 +137,11 @@ def _build_bsgs(gens: list[tuple], degree: int):
                         "internal error: Schreier-Sims added more strong generators "
                         f"than a chain in Sym({degree}) admits"
                     )
+                if any(residue[b] != b for b in base[:j]):
+                    raise RuntimeError(
+                        f"internal error: a residue sifted to level {j} moves "
+                        "a base point above it"
+                    )
                 if j == len(base):
                     new_point = min(p for p in range(degree) if residue[p] != p)
                     base.append(new_point)
@@ -131,10 +158,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
         if not restart:
             i -= 1
 
-    order = 1
-    for trans in transversals:
-        order *= len(trans)
-    return base, level_gens, transversals, order
+    return base, level_gens, transversals, _chain_order(transversals)
 
 
 class PermGroup:

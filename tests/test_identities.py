@@ -220,6 +220,15 @@ def test_builtin_catalog():
     assert isinstance(builtin_identity("commutativity"), Identity)
 
 
+def test_builtins_are_parsed_once_and_the_catalog_is_fresh():
+    assert builtin_identity("N1") is builtin_identity("N1")
+    catalog = builtin_identities()
+    del catalog["N1"]
+    catalog["extra"] = builtin_identity("N1")
+    assert builtin_identities() is not catalog
+    assert set(builtin_identities()) == {"N1", "moufang_left", "associativity", "commutativity"}
+
+
 def test_unknown_builtin_message_is_not_repr_quoted():
     with pytest.raises(UnknownIdentityError) as info:
         builtin_identity("nope")

@@ -1,5 +1,6 @@
 """Stabilizer-chain groups: order, membership, orbits, multiplication groups."""
 
+import itertools
 import random
 from math import factorial
 
@@ -8,7 +9,7 @@ import pytest
 from quasilab import permgroup
 from quasilab.cayley import FiniteQuasigroup, cyclic_group, subtraction_mod
 from quasilab.latin import sample_latin_squares
-from quasilab.perm import DegreeMismatch, Perm, compose_images
+from quasilab.perm import DegreeMismatch, Perm, compose_images, orbits
 from quasilab.permgroup import ElementCapExceeded, generate, lmlt, mlt, rmlt
 
 
@@ -107,8 +108,6 @@ def test_order_matches_breadth_first_enumeration():
 def test_membership_agrees_with_enumeration():
     g = mlt(subtraction_mod(4))
     members = g.elements()
-    import itertools
-
     for images in itertools.permutations(range(4)):
         assert (Perm(images) in g) == (images in members)
 
@@ -135,35 +134,176 @@ def test_construction_is_deterministic():
 
 def test_chain_is_pinned_on_seeded_squares():
     # mlt --json reports the base, so the chain is part of the output:
-    # base and strong-generator count of LMlt, RMlt and Mlt
+    # base, transversal point sets and strong generators (as image strings)
+    # of LMlt, RMlt and Mlt
     expected = [
-        [((2, 0, 3, 1, 4), 10), ((1, 0, 2, 3, 4), 10), ((2, 0, 1, 3, 4), 14)],
-        [((0, 1, 2, 3, 4), 12), ((0, 1, 4, 2, 3), 11), ((0, 1, 2, 3, 4), 15)],
-        [((1, 0, 3, 2, 4), 11), ((1, 0, 2, 3, 4), 10), ((1, 0, 3, 2, 4), 16)],
-        [((1, 0, 2, 4, 3), 11), ((1, 0, 2, 3, 4), 11), ((1, 0, 2, 4, 3), 17)],
+        [
+            ("20314", "012345 01345 1345 145 45",
+             "013452 534120 201534 145203 352041 420315 532041 042351 012543 012354"),
+            ("10234", "012345 02345 2345 345 45",
+             "052134 130452 341520 415203 523041 204315 514320 013542 012534 012354"),
+            ("20134", "012345 01345 1345 345 45",
+             "013452 534120 201534 145203 352041 420315 052134 130452 341520 415203 "
+             "523041 204315 012453 012354"),
+        ],
+        [
+            ("01234", "012345 12345 2345 345 45",
+             "132504 510342 425013 201435 043251 354120 014235 013245 015243 012435 "
+             "012543 012354"),
+            ("01423", "012345 12345 2345 235 35",
+             "154203 312045 205134 530421 041352 423510 012354 013542 015324 015342 "
+             "012543"),
+            ("01234", "012345 12345 2345 345 45",
+             "132504 510342 425013 201435 043251 354120 154203 312045 205134 530421 "
+             "041352 423510 015243 012453 012354"),
+        ],
+        [
+            ("10324", "012345 02345 2345 245 45",
+             "023415 340251 251043 532104 104532 415320 012543 013245 012435 015342 "
+             "012354"),
+            ("10234", "012345 02345 2345 345 45",
+             "032514 245301 301245 420153 154032 513420 315240 014235 012453 012354"),
+            ("10324", "012345 02345 2345 245 45",
+             "023415 340251 251043 532104 104532 415320 032514 245301 301245 420153 "
+             "154032 513420 012534 013254 012354 015324"),
+        ],
+        [
+            ("10243", "012345 02345 2345 345 35",
+             "035421 410352 143205 302514 251043 524130 314205 012354 013254 015423 "
+             "012543"),
+            ("10234", "012345 02345 2345 345 45",
+             "041325 314052 503214 432501 250143 125430 513402 015324 012435 012543 "
+             "012354"),
+            ("10243", "012345 02345 2345 345 35",
+             "035421 410352 143205 302514 251043 524130 041325 314052 503214 432501 "
+             "250143 125430 013542 014253 012354 012534 012543"),
+        ],
     ]
+
+    def digits(points):
+        return "".join(map(str, points))
+
     for square, chains in zip(sample_latin_squares(6, 4, seed=801), expected):
         q = FiniteQuasigroup(square)
-        groups = (lmlt(q), rmlt(q), mlt(q))
-        assert [(g.base, len(g.strong_generators)) for g in groups] == chains
+        assert [
+            (
+                digits(g.base),
+                " ".join(digits(sorted(t)) for t in g._transversals),
+                " ".join(digits(s.images) for s in g.strong_generators),
+            )
+            for g in (lmlt(q), rmlt(q), mlt(q))
+        ] == chains
+
+
+def _cycle(points, degree):
+    images = list(range(degree))
+    points = list(points)
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return Perm(tuple(images))
+
+
+def test_symmetric_and_alternating_groups_from_standard_generators():
+    # the chain stops once its transversals multiply to n! (n!/2 when
+    # every generator is even); a complete chain still decides membership
+    rng = random.Random(12)
+    for n in range(1, 9):
+        sym = generate([_cycle(range(min(n, 2)), n), _cycle(range(n), n)])
+        alt_gens = [_cycle(range(3), n), _cycle(range(1 - n % 2, n), n)] if n >= 3 else []
+        alt = generate(alt_gens, degree=n)
+        assert sym.order == factorial(n)
+        assert alt.order == max(1, factorial(n) // 2)
+        for _ in range(30):
+            images = tuple(rng.sample(range(n), n))
+            even = (n - len(orbits([images], n))) % 2 == 0
+            assert Perm(images) in sym
+            assert (Perm(images) in alt) == even
+
+
+def test_degrees_one_and_two_and_identity_generators():
+    # all-even generators on one point bound the order by 1! // 2 = 0,
+    # which no product of transversal sizes meets
+    assert generate([Perm((0,))]).order == 1
+    assert generate([Perm((1, 0))]).order == 2
+    assert generate([Perm.identity(2)]).order == 1
+    assert generate([Perm.identity(5), Perm.identity(5)]).order == 1
+
+
+def test_even_generators_of_a_proper_subgroup_of_alt():
+    # PSL(2, 5) on the projective line over F5, point 5 standing for
+    # infinity: x -> x + 1 and x -> -1/x are even and generate a group of
+    # order 60 < |Alt(6)|, so the stop never fires and the full
+    # verification completes the chain
+    g = generate([Perm((1, 2, 3, 4, 0, 5)), Perm((5, 4, 2, 3, 1, 0))])
+    members = g.elements()
+    assert g.order == len(members) == 60
+    for images in itertools.permutations(range(6)):
+        assert (Perm(images) in g) == (images in members)
+
+
+def _faulty_strip(g, base, transversals):
+    # sifts with the transversal element in place of its inverse
+    for i, b in enumerate(base):
+        t = transversals[i].get(g[b])
+        if t is None:
+            return g, i
+        g = compose_images(t[0], g)
+    return g, len(base)
 
 
 def test_a_sifting_defect_fails_instead_of_hanging(monkeypatch):
-    # sifting with the transversal element in place of its inverse never
-    # reaches the identity, so without a bound on the strong generators
-    # construction runs forever on this square
-    def faulty_strip(g, base, transversals):
-        for i, b in enumerate(base):
-            t = transversals[i].get(g[b])
-            if t is None:
-                return g, i
-            g = compose_images(t[0], g)
-        return g, len(base)
-
-    monkeypatch.setattr(permgroup, "_strip", faulty_strip)
-    q = FiniteQuasigroup(((3, 0, 1, 2), (1, 2, 0, 3), (0, 3, 2, 1), (2, 1, 3, 0)))
+    # the faulty sift never reaches the identity, so without a bound on the
+    # strong generators construction runs forever on this square
+    monkeypatch.setattr(permgroup, "_strip", _faulty_strip)
+    q = FiniteQuasigroup((
+        (2, 0, 3, 4, 1, 5), (1, 2, 0, 5, 3, 4), (3, 4, 1, 2, 5, 0),
+        (0, 3, 5, 1, 4, 2), (4, 5, 2, 3, 0, 1), (5, 1, 4, 0, 2, 3),
+    ))
     with pytest.raises(RuntimeError, match="internal error"):
         lmlt(q)
+    # LMlt of this square is Sym(4): its transversals reach 4! before any
+    # sift composes a transversal element, so the defect never shows
+    q = FiniteQuasigroup(((3, 0, 1, 2), (1, 2, 0, 3), (0, 3, 2, 1), (2, 1, 3, 0)))
+    assert lmlt(q).order == 24
+
+
+def test_a_sifting_defect_never_gives_a_wrong_order(monkeypatch):
+    # a faulty sift can leave a residue that moves a base point above its
+    # level; as a strong generator it would inflate the transversals (an
+    # order-5 square then reported |LMlt| = 1440) or trip the stop at a
+    # false n!, so construction refuses it
+    builders = (lmlt, rmlt, mlt)
+    squares = [sq for n in (4, 5, 6) for sq in sample_latin_squares(n, 15, seed=7)]
+    true_orders = [[b(FiniteQuasigroup(sq)).order for b in builders] for sq in squares]
+    monkeypatch.setattr(permgroup, "_strip", _faulty_strip)
+    for square, orders in zip(squares, true_orders):
+        for build, order in zip(builders, orders):
+            try:
+                assert build(FiniteQuasigroup(square)).order == order
+            except RuntimeError as error:
+                assert "internal error" in str(error)
+
+
+def test_the_stop_saves_sifts_on_sym6(monkeypatch):
+    # without the stop a Sym(6) chain sifted 76.4 Schreier generators on
+    # average (the perfbench corpus-n6 squares of seed 1), every one to the
+    # identity; with it, about 12
+    sifts = [0]
+    strip = permgroup._strip
+
+    def counting_strip(*args):
+        sifts[0] += 1
+        return strip(*args)
+
+    monkeypatch.setattr(permgroup, "_strip", counting_strip)
+    counts = []
+    for square in sample_latin_squares(6, 20, seed=1):
+        for build in (lmlt, mlt):
+            sifts[0] = 0
+            if build(FiniteQuasigroup(square)).order == 720:
+                counts.append(sifts[0])
+    assert len(counts) >= 20
+    assert sum(counts) / len(counts) < 76.4 / 2
 
 
 def test_lmlt_is_built_once_per_quasigroup():
