@@ -3,17 +3,13 @@
 A character chi: Q -> (0, inf) with chi(x*y) = chi(x)chi(y) is handled
 in log-coordinates c = log chi, where multiplicativity becomes the
 linear system c[table[x][y]] = c[x] + c[y], an integer system with n
-unknowns.  On any finite quasigroup its solution space is {0}: summing
-the defining equation over x for fixed a gives chi(a) * S = S with
-S = sum chi(x) > 0, so chi(a) = 1.
-
-Two routes certify this.  solve_characters takes the rank of the rows
-modulo the prime 2^61 - 1, a lower bound for their rank over the
-rationals; the positive-sum identity makes it n, so a smaller rank is an
-internal error, not a case to handle.  positive_sum_certificate
-re-derives the same conclusion from the raw table by pure integer
-bookkeeping, with no shared code with the elimination; the two routes
-must agree.
+unknowns.  Its solution space is {0} on every finite magma, and two
+routes say so.  solve_characters settles it by theorem (the squaring
+argument in its docstring), reading nothing of the table.
+positive_sum_certificate re-derives it from the raw table by pure integer
+bookkeeping: on a Latin square, summing the defining equation over x for
+fixed a gives chi(a) * S = S with S = sum chi(x) > 0, so chi(a) = 1.
+The two routes must agree.
 
 The same degeneracy settles the LMlt audit: L_a -> log chi(a) is well
 defined on LMlt exactly when chi is trivial (representation_well_defined
@@ -29,10 +25,6 @@ from operator import itemgetter
 
 from .cayley import FiniteQuasigroup
 from .permgroup import lmlt
-
-
-# a Mersenne prime: residues stay below 2^61, products below 2^122
-PRIME = 2**61 - 1
 
 
 class NotALoop(ValueError):
@@ -65,6 +57,7 @@ class Character:
         return all(c == 0 for c in self.log_values)
 
     def is_multiplicative(self, q: FiniteQuasigroup) -> bool:
+        _require_degree(q, self)
         c = self.log_values
         return all(
             c[q.table[x][y]] == c[x] + c[y]
@@ -79,72 +72,33 @@ class Character:
         return f"Character(log={[str(x) for x in self.log_values]})"
 
 
-def rank_mod_p(rows, ncols: int) -> int:
-    """Rank of the integer rows over the field of PRIME elements.
-
-    Incremental elimination: each row is reduced against the pivot rows
-    kept so far (each normalised to 1 at its pivot and zero at the
-    earlier pivots) and kept if anything survives.  Stops reading rows
-    once the rank reaches ncols, so rows may be a lazy iterable.
-    """
-    pivots: list[tuple[int, list[int]]] = []
-    for row in rows:
-        v = [x % PRIME for x in row]
-        for c, pivot_row in pivots:
-            f = v[c]
-            if f:
-                v = [(x - f * y) % PRIME for x, y in zip(v, pivot_row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], -1, PRIME)
-        pivots.append((lead, [x * inv % PRIME for x in v]))
-        if len(pivots) == ncols:
-            break
-    return len(pivots)
-
-
-def _equation_rows(q: FiniteQuasigroup):
-    """Rows e[x*y] - e[x] - e[y] in (x, y) order, lazily."""
-    n = q.order
-    for x in range(n):
-        for y in range(n):
-            row = [0] * n
-            row[q.table[x][y]] += 1
-            row[x] -= 1
-            row[y] -= 1
-            yield row
+def _require_degree(q: FiniteQuasigroup, chi: Character):
+    if chi.degree != q.order:
+        raise ValueError(f"character of degree {chi.degree} on a quasigroup of order {q.order}")
 
 
 def solve_characters(q: FiniteQuasigroup) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {c : c[x*y] = c[x] + c[y] for all x, y}.
+    """Exact basis of {c : c[x*y] = c[x] + c[y] for all x, y}: always [].
 
-    Returns the list of basis vectors of the log-character space, which
-    is empty for every finite quasigroup.  Full rank mod PRIME means
-    full rank over Q, so the empty basis is certified without fractions.
-    The rank mod PRIME is always n: the rows (a, x) sum over x to
-    -n * e[a] (see positive_sum_certificate), and n is a unit mod PRIME,
-    so every e[a] lies in their span.  A smaller rank is an internal
-    error.
+    The space is {0} on every finite magma, so the table is not read.
+    Put y = x: c[x*x] = 2 c[x].  The squaring sequence x_0 = x,
+    x_{k+1} = x_k * x_k therefore has c[x_k] = 2^k c[x].  It lies in a
+    finite set, so it is eventually periodic: x_{j+p} = x_j for some
+    j >= 0 and p >= 1.  Then 2^j (2^p - 1) c[x] = 0, and since
+    2^j (2^p - 1) is a nonzero integer, c[x] = 0.
     """
-    n = q.order
-    rank = rank_mod_p(_equation_rows(q), n)
-    if rank != n:
-        raise RuntimeError(
-            f"internal error: character equations of order {n} have rank {rank} mod p"
-        )
     return []
 
 
 def positive_sum_certificate(q: FiniteQuasigroup) -> bool:
-    """Certify dimension 0 without elimination.
+    """Certify dimension 0 from the raw table, apart from the theorem.
 
     For fixed a, summing the equation vectors e[a*x] - e[a] - e[x] over
     all x must give exactly -n * e[a]: row a of a Latin square is a
     permutation, so the e[a*x] terms cancel the e[x] terms.  When that
     holds for every a, each coordinate c[a] is forced to zero by
     equations already in the system's row span, so the solution space is
-    {0} regardless of what the elimination says.
+    {0}.  A table with a row that is not a permutation fails the check.
     """
     n = q.order
     for a in range(n):
@@ -166,6 +120,7 @@ def trivial_character(n: int) -> Character:
 
 def check_normalization(q: FiniteQuasigroup, chi: Character) -> bool:
     """chi(e) = 1, i.e. log-value 0 at the identity.  NotALoop if no e."""
+    _require_degree(q, chi)
     e = q.find_identity()
     if e is None:
         raise NotALoop()
@@ -219,9 +174,8 @@ def representation_well_defined(
     a positive integer preserves every sum and every equality, so the
     conflict is the one the rational log-values give.
     """
+    _require_degree(q, chi)
     n = q.order
-    if chi.degree != n:
-        raise ValueError(f"character of degree {chi.degree} on a quasigroup of order {n}")
     if chi.is_trivial():
         group_order = lmlt(q).order
         if group_order > max(element_cap, 1):

@@ -266,7 +266,13 @@ def _cmd_axb(args) -> int:
 
 
 def _cmd_kunen_scan(args) -> int:
-    mode = "sample" if args.sample is not None else "full"
+    sampled = args.sample is not None
+    if not sampled and args.seed is not None:
+        raise ValueError("--seed applies only to a --sample scan")
+    if sampled and args.allow_n6:
+        raise ValueError("--allow-n6 applies only to a full scan")
+    mode = "sample" if sampled else "full"
+    seed = 0 if args.seed is None else args.seed
     if args.modular:
         if args.counterexample_dir is not None:
             raise ValueError("--counterexample-dir does not apply to --modular")
@@ -274,7 +280,7 @@ def _cmd_kunen_scan(args) -> int:
             args.order,
             mode=mode,
             sample_size=args.sample,
-            seed=args.seed,
+            seed=seed,
             allow_n6=args.allow_n6,
             identity_name=args.builtin,
             jobs=args.jobs,
@@ -294,7 +300,7 @@ def _cmd_kunen_scan(args) -> int:
         args.order,
         mode=mode,
         sample_size=args.sample,
-        seed=args.seed,
+        seed=seed,
         allow_n6=args.allow_n6,
         jobs=args.jobs,
         checkpoint=args.checkpoint,
@@ -426,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--sample", type=_positive_int, metavar="K", help="K seeded random squares"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="sample seed (default 0)")
     p.add_argument("--allow-n6", action="store_true", help="permit the full order-6 scan")
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="worker processes for a full scan"

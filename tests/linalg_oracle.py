@@ -3,10 +3,10 @@
 Plain Gaussian elimination with Fraction arithmetic gives exact kernels
 of small dense systems (a few hundred unknowns at most); a float
 nullspace could not certify that a solution space is exactly
-zero-dimensional.  The package itself needs no elimination: characters
-are certified by a rank modulo a prime and invariant measures are read
-off translation orbits.  The tests use this module as the independent
-slow route both are compared with.
+zero-dimensional.  The package itself needs no elimination: the
+character space and the invariant measures are settled by theorem.  The
+tests use this module as the independent slow route both are compared
+with.
 """
 
 from __future__ import annotations

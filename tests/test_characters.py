@@ -1,31 +1,27 @@
 """Multiplicative characters: triviality, normalization, representation audit.
 
-The package solves characters by a rank modulo a prime.  It audits LMlt
-by theorem for the trivial character, reading |LMlt| off the Schreier-Sims
-chain, and runs an integer-scaled closure only to locate the conflict of
-a non-trivial one.  The rational routes they replaced live here as oracles:
-the Fraction nullspace of the same equation rows, and the Fraction
+The package settles characters by theorem.  It audits LMlt by theorem for
+the trivial character, reading |LMlt| off the Schreier-Sims chain, and
+runs an integer-scaled closure only to locate the conflict of a
+non-trivial one.  The rational routes they replaced live here as oracles:
+the Fraction nullspace of the character equation rows, and the Fraction
 breadth-first audit below, which still checks the law pair by pair.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasilab import characters
 from quasilab.cayley import FiniteQuasigroup, cyclic_group, subtraction_mod
 from quasilab.characters import (
-    PRIME,
     CapExceeded,
     Character,
     NotALoop,
     RepresentationAudit,
     check_normalization,
     positive_sum_certificate,
-    rank_mod_p,
     representation_well_defined,
     solve_characters,
     trivial_character,
@@ -34,7 +30,7 @@ from quasilab.latin import enumerate_latin_squares, sample_latin_squares
 from quasilab.perm import compose_images
 from quasilab.permgroup import lmlt
 
-from linalg_oracle import nullspace, rref
+from linalg_oracle import nullspace
 
 
 def _fraction_audit(q, chi, element_cap=10**6, pair_budget=10000):
@@ -148,64 +144,88 @@ def test_solver_exhaustive_small_orders():
         enumerate_latin_squares(n, squares.append)
         for square in squares:
             q = FiniteQuasigroup(tuple(square))
-            assert rank_mod_p(_equation_rows(q), n) == n
             assert solve_characters(q) == []
             assert solve_characters(q) == nullspace(_equation_rows(q), ncols=n)
             assert positive_sum_certificate(q)
-
-
-def test_rank_mod_p_matches_rational_rank():
-    rng = random.Random(61)
-    deficient = 0
-    for _ in range(300):
-        ncols = rng.randint(1, 5)
-        rows = [
-            [rng.randint(-3, 3) for _ in range(ncols)]
-            for _ in range(rng.randint(1, 6))
-        ]
-        if len(rows) > 1 and rng.random() < 0.4:
-            # a combination of earlier rows keeps the rank below the row count
-            a, b = rng.sample(range(len(rows)), 2)
-            rows.append([2 * x - 3 * y for x, y in zip(rows[a], rows[b])])
-        rank = len(rref(rows)[1])
-        deficient += rank < min(len(rows), ncols)
-        assert rank_mod_p(rows, ncols) == rank
-        assert rank_mod_p(iter(rows), ncols) == rank
-    assert deficient > 25
-    assert rank_mod_p([], 3) == 0
-
-
-def test_rank_mod_p_sees_only_residues():
-    # full rank over Q, but p * e0 vanishes mod p
-    assert len(rref([[PRIME, 0], [0, 1]])[1]) == 2
-    assert rank_mod_p([[PRIME, 0], [0, 1]], 2) == 1
-    assert rank_mod_p([[PRIME + 1, 1], [1, 1]], 2) == 1
-    assert rank_mod_p([[2, 1], [1, 1]], 2) == 2
-
-
-def test_solver_rejects_a_deficient_rank(monkeypatch):
-    # the positive-sum identity rules a deficient rank out, so a solver
-    # that sees one has a bug and must say so instead of answering
-    monkeypatch.setattr(characters, "rank_mod_p", lambda rows, ncols: ncols - 1)
-    for q in (cyclic_group(1), cyclic_group(3), subtraction_mod(3)):
-        with pytest.raises(RuntimeError, match="internal error"):
-            solve_characters(q)
 
 
 def test_solver_and_certificate_agree_on_samples():
     for n in (4, 5, 6):
         for square in sample_latin_squares(n, 10, seed=n):
             q = FiniteQuasigroup(square)
-            assert rank_mod_p(_equation_rows(q), n) == n
             basis = solve_characters(q)
             assert (len(basis) == 0) == positive_sum_certificate(q)
             assert basis == []
+
+
+@st.composite
+def magmas(draw):
+    # any n x n table over 0..n-1, Latin or not: the theorem needs no more
+    n = draw(st.integers(min_value=1, max_value=4))
+    cells = st.integers(min_value=0, max_value=n - 1)
+    rows = st.lists(cells, min_size=n, max_size=n).map(tuple)
+    return FiniteQuasigroup(tuple(draw(st.lists(rows, min_size=n, max_size=n))))
+
+
+@given(magmas())
+def test_solver_matches_the_nullspace_on_every_magma(q):
+    assert solve_characters(q) == nullspace(_equation_rows(q), ncols=q.order)
+
+
+@st.composite
+def latin_squares_5_to_7(draw):
+    n = draw(st.integers(min_value=5, max_value=7))
+    if draw(st.booleans()):
+        seed = draw(st.integers(min_value=0, max_value=10**6))
+        return FiniteQuasigroup(sample_latin_squares(n, 1, seed=seed)[0])
+    # Z_n relabelled by sigma: sigma(x) * sigma(y) = sigma(x + y)
+    sigma = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[sigma[x]][sigma[y]] = sigma[(x + y) % n]
+    return FiniteQuasigroup(tuple(map(tuple, table)))
+
+
+@given(latin_squares_5_to_7())
+def test_solver_matches_the_nullspace_on_latin_squares(q):
+    assert solve_characters(q) == nullspace(_equation_rows(q), ncols=q.order)
+    assert positive_sum_certificate(q)
+
+
+class _UnreadableTable:
+    def __len__(self):
+        return 6
+
+    def __getitem__(self, index):
+        raise AssertionError(f"the solver read table[{index!r}]")
+
+
+def test_solver_reads_no_table():
+    # the answer is fixed by theorem, so no elimination may run
+    assert solve_characters(FiniteQuasigroup(_UnreadableTable())) == []
+
+
+def test_certificate_can_fail():
+    # row 0 is not a permutation, so its equations do not sum to -2 e[0]
+    magma = FiniteQuasigroup(((0, 0), (1, 1)))
+    assert not positive_sum_certificate(magma)
+    assert solve_characters(magma) == []
 
 
 def test_nontrivial_character_is_never_multiplicative():
     chi = Character([0, 1, 0])
     assert not chi.is_multiplicative(cyclic_group(3))
     assert trivial_character(3).is_multiplicative(cyclic_group(3))
+
+
+def test_a_character_of_another_degree_is_refused():
+    for chi in (Character([0]), Character([0, 0, 5])):
+        message = f"character of degree {chi.degree} on a quasigroup of order 2"
+        with pytest.raises(ValueError, match=message):
+            chi.is_multiplicative(cyclic_group(2))
+        with pytest.raises(ValueError, match=message):
+            check_normalization(cyclic_group(2), chi)
 
 
 def test_normalization_on_loops():

@@ -352,6 +352,28 @@ def test_kunen_scan_sample_and_limits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_kunen_scan_refuses_flags_that_do_nothing(tmp_path, capsys):
+    # a full scan has no seed, and a sample has no order cap to lift
+    out = tmp_path / "refused.json"
+    for kind in ([], ["--modular"]):
+        for flag, extra in (
+            ("--seed", ["--seed", "7"]),
+            ("--seed", ["--seed", "0"]),
+            ("--allow-n6", ["--sample", "3", "--allow-n6"]),
+        ):
+            argv = ["kunen-scan", "--order", "3", "--json", str(out)] + extra + kind
+            assert main(argv) == 2, argv
+            assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+        # a sample without --seed runs with seed 0, and reports it
+        argv = ["kunen-scan", "--order", "3", "--sample", "3", "--json", str(out)] + kind
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert _load_report(str(out))["seed"] == 0
+        out.unlink()
+
+
 def test_kunen_scan_modular(tmp_path, capsys):
     out = str(tmp_path / "mod.json")
     assert main(["kunen-scan", "--order", "3", "--modular", "--json", out]) == 0
