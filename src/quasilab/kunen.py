@@ -24,17 +24,20 @@ file holds one result per first row, written as each orbit finishes,
 letting an interrupted scan resume without recounting.
 
 A unit does not walk every square of its row.  The satisfiers come from
-a search in the style of a finite-model builder: as each row of the
-square is completed, every instance of the identity whose products all
-fall in completed rows is checked, and a failing one cuts the branch.
-The search prunes with the identity only, never with loopness, and each
+a search in the style of the finite-model builders Mace4 and SEM: as
+each cell of the square is filled, every instance of the identity whose
+products have all become defined is checked, and a failing one rejects
+the value.  Each instance waits on a watch list for the first empty cell
+it reads, so a filled cell wakes only the instances that read it.  The
+search prunes with the identity only, never with loopness, and each
 square it emits is checked again in full by the visitor, so a search
 defect could lose a satisfier but never invent one.  The loops are
-counted by the same backtracker on a forced identity row and column,
-and every row's total is count_latin_squares_memoized(n) / n!, since
-permuting columns maps the squares with one first row onto those with
-any other.  The full order-6 scan takes about 6 s serially, where a
-walk over every square took 12 minutes with two processes.
+counted by the same backtracker on a forced identity row and column; on
+the identity row, where they are the reduced squares, by formula.  Every
+row's total is count_latin_squares_memoized(n) / n!, since permuting
+columns maps the squares with one first row onto those with any other.
+The full order-6 scan takes about 1 s serially, where a walk over every
+square took 12 minutes with two processes.
 """
 
 from __future__ import annotations
@@ -179,40 +182,85 @@ def conjugate(square, sigma) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _satisfier_check(identity, n: int):
-    """The row check of the pruned search: no defined instance of identity fails.
+def _straight_line(identity):
+    """Both sides of identity as one straight-line program of products.
 
-    Once rows 0..r are complete, a product x*y is defined exactly when
-    x <= r.  Both sides are evaluated on a padded (n + 1) x (n + 1) table
-    in which an undefined product, and every product with an undefined
-    operand, reads n; an assignment is compared only when neither side
-    reads n.  Divisions are not defined on a partial table, so an
-    identity with \\ or / raises ValueError.
+    Registers 0..k-1 hold the k variables, and product i writes register
+    k + i from two earlier registers.  Returns the (left, right) register
+    pairs in evaluation order and the registers of the two sides.  Divisions are
+    not defined on a partial table, so an identity with \\ or / raises
+    ValueError.
     """
+    variables, products = identity.variables, []
 
-    def compile_term(term):
+    def emit(term):
         if isinstance(term, Variable):
-            i = identity.variables.index(term.name)
-            return lambda a, table: a[i]
+            return variables.index(term.name)
         if not isinstance(term, Multiply):
             raise ValueError(
                 f"a full scan prunes with multiplication only, not {pretty(identity)}"
             )
-        left, right = compile_term(term.left), compile_term(term.right)
-        return lambda a, table: table[left(a, table)][right(a, table)]
+        products.append((emit(term.left), emit(term.right)))
+        return len(variables) + len(products) - 1
 
-    lhs, rhs = compile_term(identity.lhs), compile_term(identity.rhs)
-    assignments = list(itertools.product(range(n), repeat=len(identity.variables)))
-    undefined = [n] * (n + 1)
+    lhs, rhs = emit(identity.lhs), emit(identity.rhs)
+    return products, lhs, rhs
 
-    def check(grid, r) -> bool:
-        table = [row + [n] for row in grid[: r + 1]] + [undefined] * (n - r)
-        for a in assignments:
-            left = lhs(a, table)
-            if left != n:
-                right = rhs(a, table)
-                if right != n and right != left:
-                    return False
+
+def _cell_check(identity, n: int):
+    """The cell check of the pruned search: no decided instance of identity fails.
+
+    An instance is an assignment of the identity's variables.  It waits
+    on a watch list for the first empty cell its products read; when that
+    cell is filled it is evaluated again, and it either moves on to the
+    next empty cell it reads or, with both sides defined, is compared, and
+    a mismatch rejects the value.  Cells fill in row-major order, so an
+    instance only ever moves to a later cell, and the check is called at
+    pos only once every later cell is empty again.  So it undoes lazily:
+    it first drops its own record of the cells from pos on (the flat
+    table, and the watch-list appends through a trail marked per cell),
+    then wakes pos's watchers.  A woken instance is evaluated from
+    scratch, so a stale watch entry would cost time but not answers.
+    """
+    products, lhs, rhs = _straight_line(identity)
+    size = n * n
+    table = [-1] * size  # the filled cells, row-major; -1 is empty
+    watch = [[] for _ in range(size)]
+    trail, marks = [], [0] * size  # the cell of each append; trail length per fill
+    filled = 0  # cells 0..filled-1 are in table
+
+    def waits_on(a) -> int:
+        """The first empty cell instance a reads; size if it holds, -1 if it fails."""
+        regs = list(a)
+        for i, j in products:
+            cell = regs[i] * n + regs[j]
+            v = table[cell]
+            if v < 0:
+                return cell
+            regs.append(v)
+        return size if regs[lhs] == regs[rhs] else -1
+
+    for a in itertools.product(range(n), repeat=len(identity.variables)):
+        cell = waits_on(a)
+        if cell < size:  # one that fails without a product rejects cell 0
+            watch[max(cell, 0)].append(a)
+
+    def check(grid, pos) -> bool:
+        nonlocal filled
+        if pos < filled:
+            while len(trail) > marks[pos]:
+                watch[trail.pop()].pop()
+            table[pos:filled] = [-1] * (filled - pos)
+        table[pos] = grid[pos // n][pos % n]
+        filled = pos + 1
+        marks[pos] = len(trail)
+        for a in watch[pos]:
+            cell = waits_on(a)
+            if cell < 0:
+                return False
+            if cell < size:
+                watch[cell].append(a)
+                trail.append(cell)
         return True
 
     return check
@@ -259,12 +307,17 @@ def _run_unit(args) -> list:
         result = {"total": len(squares), **counts, "counterexamples": counterexamples}
         return [(None, result)]
     rep = orbit[0][0]
-    for square in _backtrack(n, rep, None, row_check=_satisfier_check(identity, n)):
+    for square in _backtrack(n, rep, None, cell_check=_cell_check(identity, n)):
         emit(square)
     if kind == "kunen":
         # the visitor saw only satisfiers, so it counted only their loops; in
-        # a row without loops its counts, zeros and keys included, stand
-        loops = _count_loops(n, rep)
+        # a row without loops its counts, zeros and keys included, stand.  On
+        # the identity row 0 is a left identity, so its loops are the reduced
+        # squares, row_total / (n - 1)! of them
+        if rep == tuple(range(n)):
+            loops = row_total // math.factorial(n - 1)
+        else:
+            loops = _count_loops(n, rep)
         if loops:
             counts = {"n1": counts["n1"], "loop": loops, "n1_loop": counts["n1_loop"]}
     results = []
@@ -396,7 +449,7 @@ def _scan(
             if checkpoint is not None:
                 _write_checkpoint(checkpoint, header, completed)
 
-    if jobs > 1 and pending:
+    if jobs > 1 and len(pending) > 1:  # one unit runs serially: a pool would idle
         with Pool(processes=jobs) as pool:
             record(pool.imap_unordered(_run_unit, pending))
     else:

@@ -66,7 +66,7 @@ def enumerate_with_first_row(n: int, first_row: tuple[int, ...], emit=None) -> i
     return count
 
 
-def _backtrack(n: int, first_row, rng, allowed=None, row_check=None):
+def _backtrack(n: int, first_row, rng, allowed=None, cell_check=None):
     """Generator over Latin squares via row/column bitmask backtracking.
 
     With rng None, candidates are tried in increasing value order, which
@@ -77,9 +77,12 @@ def _backtrack(n: int, first_row, rng, allowed=None, row_check=None):
     allowed, a list of n * n value masks in row-major cell order, limits
     the values each cell the search fills may take (a given first row is
     taken as it is).
-    row_check(grid, r) is called with rows 0..r of grid filled, each time
-    row r is completed (the first row included); a row it rejects is
-    backtracked like a cell with no candidate left.
+    cell_check(grid, pos) is called each time the cell at row-major index
+    pos is filled, the cells of a given first row included.  Cells fill
+    in row-major order, so at that call every cell before pos holds its
+    value and every cell after it is empty (grid may still show stale
+    values there).  A value it rejects is skipped and the cell tries its
+    next candidate; a given first row it rejects yields nothing.
     """
     full = (1 << n) - 1
     if allowed is None:
@@ -93,8 +96,8 @@ def _backtrack(n: int, first_row, rng, allowed=None, row_check=None):
             grid[0][c] = v
             row_mask[0] |= 1 << v
             col_mask[c] |= 1 << v
-        if row_check is not None and not row_check(grid, 0):
-            return
+            if cell_check is not None and not cell_check(grid, c):
+                return
         start = n
 
     # iterative stack of (pos, remaining-candidates mask or list)
@@ -136,8 +139,8 @@ def _backtrack(n: int, first_row, rng, allowed=None, row_check=None):
                 col_mask[cc] ^= bit
             continue
         grid[r][c] = v
-        if c == n - 1 and row_check is not None and not row_check(grid, r):
-            continue  # the completed row fails: try this cell's next candidate
+        if cell_check is not None and not cell_check(grid, pos):
+            continue  # the value fails: try this cell's next candidate
         bit = 1 << v
         row_mask[r] |= bit
         col_mask[c] |= bit

@@ -14,7 +14,7 @@ from functools import cache
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quasilab import identities, kunen
@@ -30,6 +30,7 @@ from quasilab.identities import (
 from quasilab.kunen import conjugate, first_row_orbits, kunen_scan, modular_scan
 from quasilab.latin import (
     OrderTooLarge,
+    _backtrack,
     count_latin_squares_memoized,
     enumerate_with_first_row,
     first_rows,
@@ -419,6 +420,13 @@ def test_full_scan_counts_match_group_theory(n):
     assert r.loop_count == n * reduced
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_identity_row_loops_are_the_reduced_squares(n):
+    """The scan counts them by formula; the enumeration is the oracle."""
+    reduced = count_latin_squares_memoized(n) // (factorial(n) * factorial(n - 1))
+    assert kunen._count_loops(n, tuple(range(n))) == reduced
+
+
 def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
     monkeypatch.setitem(identities._BUILTIN_TEXT, "left_division", "(x\\(x*y)) = y")
     for scan in (kunen_scan, modular_scan):
@@ -428,6 +436,90 @@ def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
     r = kunen_scan(3, mode="sample", sample_size=5, identity_name="left_division",
                    counterexample_dir=str(tmp_path))
     assert r.n1_count == 5
+
+
+def _pruned(n, row, identity) -> list:
+    return list(_backtrack(n, row, None, cell_check=kunen._cell_check(identity, n)))
+
+
+def _filtered(n, row, identity) -> list:
+    squares = []
+    enumerate_with_first_row(n, row, squares.append)
+    return [sq for sq in squares if check_identity(FiniteQuasigroup(sq), identity).holds]
+
+
+def _terms(draw, names, depth):
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(names))
+    left, right = _terms(draw, names, depth - 1), _terms(draw, names, depth - 1)
+    return f"({left}*{right})"
+
+
+@st.composite
+def identities_and_first_rows(draw):
+    """A multiplication-only identity in 1-3 variables, depth <= 3, and a first row."""
+    names = "xyz"[: draw(st.integers(1, 3))]
+    text = f"{_terms(draw, names, 3)} = {_terms(draw, names, 3)}"
+    n = draw(st.integers(1, 4))
+    return parse_identity(text), n, tuple(draw(st.permutations(range(n))))
+
+
+@given(identities_and_first_rows())
+@example((parse_identity("x = y"), 3, (0, 1, 2)))  # fails with no product read
+@example((parse_identity("(x*y) = (x*y)"), 3, (1, 2, 0)))
+def test_cell_checked_search_matches_the_filtered_enumeration(case):
+    identity, n, row = case
+    assert _pruned(n, row, identity) == _filtered(n, row, identity)
+
+
+@pytest.mark.parametrize("name", ["moufang_left", "associativity", "commutativity"])
+def test_cell_checked_search_matches_on_the_order_5_representatives(name):
+    identity = builtin_identity(name)
+    for orbit in first_row_orbits(5):
+        rep = orbit[0][0]
+        assert _pruned(5, rep, identity) == _filtered(5, rep, identity)
+
+
+def test_the_order_5_search_fills_few_cells(monkeypatch):
+    """Fewer than half the 15,461 cells that a check on completed rows fills."""
+    filled = []
+    cell_check = kunen._cell_check
+
+    def counting(identity, n):
+        check = cell_check(identity, n)
+
+        def counted(grid, pos):
+            filled.append(pos)
+            return check(grid, pos)
+
+        return counted
+
+    monkeypatch.setattr(kunen, "_cell_check", counting)
+    r = kunen_scan(5)
+    assert (r.n1_count, r.loop_count) == (30, 280)
+    assert 0 < len(filled) < 15461 // 2
+
+
+def test_a_single_unit_runs_without_a_pool(tmp_path, monkeypatch):
+    path = str(tmp_path / "resume.json")
+    serial = kunen_scan(4, checkpoint=path)
+    with open(path) as fh:
+        data = json.load(fh)
+    del data["completed"]["0,1,2,3"]  # the identity row is an orbit of its own
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a worker pool was started")
+
+    monkeypatch.setattr(kunen, "Pool", no_pool)
+    resumed = kunen_scan(4, jobs=2, checkpoint=path)
+    assert _fields(resumed) == {**_fields(serial), "jobs": 2}
+    r = kunen_scan(1, jobs=2)  # order 1 is a single orbit
+    assert (r.jobs, r.n1_count, r.loop_count) == (2, 1, 1)
+    assert modular_scan(1, jobs=2).n1_count == 1
+    with pytest.raises(RuntimeError, match="pool"):  # two units still share one
+        kunen_scan(2, jobs=2)
 
 
 @pytest.mark.parametrize("scan, kind", [(kunen_scan, "kunen"), (modular_scan, "modular")])

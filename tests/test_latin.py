@@ -47,24 +47,43 @@ def test_emission_is_lexicographic_row_major():
     assert squares[0] == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def test_masks_and_row_checks_filter_the_enumeration():
+def test_masks_and_cell_checks_filter_the_enumeration():
     squares = []
     enumerate_latin_squares(4, squares.append)
     allowed = [15] * 16
     allowed[5] = 1 << 2  # cell (1, 1) holds 2
-    checked = []
+    calls = []
 
-    def identity_column(grid, r):  # rows 0..r are complete
-        checked.append([row[:] for row in grid[: r + 1]])
-        return grid[r][0] == r
+    def identity_column(grid, pos):  # cells 0..pos are filled
+        r, c = divmod(pos, 4)
+        filled = [grid[i // 4][i % 4] for i in range(pos + 1)]
+        calls.append((pos, filled))
+        return c != 0 or grid[r][0] == r
 
     got = list(_backtrack(4, None, None, allowed, identity_column))
     assert got == [
         sq for sq in squares if sq[1][1] == 2 and all(sq[r][0] == r for r in range(4))
     ]
-    assert all(sorted(row) == [0, 1, 2, 3] for rows in checked for row in rows)
-    # a first row the row check rejects yields nothing
+    # cells fill in row-major order: each call is at most one past the last,
+    # and the filled cells repeat no value in a row or a column
+    assert calls[0][0] == 0
+    assert all(pos <= last + 1 for (last, _), (pos, _) in zip(calls, calls[1:]))
+    for pos, filled in calls:
+        for line in [filled[r * 4 : r * 4 + 4] for r in range(4)] + [filled[c::4] for c in range(4)]:
+            assert len(set(line)) == len(line)
+    # a rejected value is skipped, not the branch: cell (1, 0) tries 3
+    # right after 2 fails there
+    tried = [(pos, filled[pos]) for pos, filled in calls]
+    assert ((4, 2), (4, 3)) in zip(tried, tried[1:])
+    # the cells of a given first row are checked too, and one the check
+    # rejects yields nothing
+    calls.clear()
     assert list(_backtrack(4, (1, 0, 2, 3), None, allowed, identity_column)) == []
+    assert [pos for pos, _ in calls] == [0]
+    calls.clear()
+    rows = list(_backtrack(4, (0, 1, 2, 3), None, allowed, identity_column))
+    assert rows == [sq for sq in got if sq[0] == (0, 1, 2, 3)]
+    assert [pos for pos, _ in calls[:5]] == [0, 1, 2, 3, 4]
 
 
 def test_emitted_squares_are_latin():
