@@ -76,7 +76,8 @@ def _backtrack(n: int, first_row, rng, allowed=None, cell_check=None):
 
     allowed, a list of n * n value masks in row-major cell order, limits
     the values each cell the search fills may take (a given first row is
-    taken as it is).
+    taken as it is).  A mask is read when the search reaches its cell, so
+    cell_check may narrow the masks of the cells after pos.
     cell_check(grid, pos) is called each time the cell at row-major index
     pos is filled, the cells of a given first row included.  Cells fill
     in row-major order, so at that call every cell before pos holds its

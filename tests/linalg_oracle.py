@@ -78,3 +78,21 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None):
 def matvec(rows, v):
     """A v with exact arithmetic; used by tests to certify kernels."""
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
+
+
+def character_equation_rows(q) -> list[list[int]]:
+    """The rows e[x*y] - e[x] - e[y] of the character equations of q.
+
+    A character is a vector v of logarithms with v[x*y] = v[x] + v[y], so
+    the character space is the nullspace of these rows.  They are built
+    here apart from the package.
+    """
+    rows = []
+    for x in range(q.order):
+        for y in range(q.order):
+            row = [0] * q.order
+            row[q.table[x][y]] += 1
+            row[x] -= 1
+            row[y] -= 1
+            rows.append(row)
+    return rows

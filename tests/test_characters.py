@@ -30,7 +30,7 @@ from quasilab.latin import enumerate_latin_squares, sample_latin_squares
 from quasilab.perm import compose_images
 from quasilab.permgroup import lmlt
 
-from linalg_oracle import nullspace
+from linalg_oracle import character_equation_rows, nullspace
 
 
 def _fraction_audit(q, chi, element_cap=10**6, pair_budget=10000):
@@ -100,19 +100,6 @@ def _assert_audits_agree(q, chi, **kwargs):
     return fast
 
 
-def _equation_rows(q):
-    # the rows e[x*y] - e[x] - e[y], built here apart from the package
-    rows = []
-    for x in range(q.order):
-        for y in range(q.order):
-            row = [0] * q.order
-            row[q.table[x][y]] += 1
-            row[x] -= 1
-            row[y] -= 1
-            rows.append(row)
-    return rows
-
-
 def _rational_characters(n):
     # small denominators, and values that make some word conflict
     steps = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2), Fraction(1), Fraction(0)]
@@ -145,7 +132,7 @@ def test_solver_exhaustive_small_orders():
         for square in squares:
             q = FiniteQuasigroup(tuple(square))
             assert solve_characters(q) == []
-            assert solve_characters(q) == nullspace(_equation_rows(q), ncols=n)
+            assert solve_characters(q) == nullspace(character_equation_rows(q), ncols=n)
             assert positive_sum_certificate(q)
 
 
@@ -169,7 +156,7 @@ def magmas(draw):
 
 @given(magmas())
 def test_solver_matches_the_nullspace_on_every_magma(q):
-    assert solve_characters(q) == nullspace(_equation_rows(q), ncols=q.order)
+    assert solve_characters(q) == nullspace(character_equation_rows(q), ncols=q.order)
 
 
 @st.composite
@@ -189,7 +176,7 @@ def latin_squares_5_to_7(draw):
 
 @given(latin_squares_5_to_7())
 def test_solver_matches_the_nullspace_on_latin_squares(q):
-    assert solve_characters(q) == nullspace(_equation_rows(q), ncols=q.order)
+    assert solve_characters(q) == nullspace(character_equation_rows(q), ncols=q.order)
     assert positive_sum_certificate(q)
 
 

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from quasilab import identities, kunen
 from quasilab.cayley import FiniteQuasigroup, parse_table_text, validate_cayley
 from quasilab.identities import (
+    Multiply,
     UnknownIdentityError,
+    Variable,
     builtin_identities,
     builtin_identity,
     check_identity,
@@ -421,6 +423,15 @@ def test_full_scan_counts_match_group_theory(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
+def test_rows_starting_with_0_have_loops_only_on_the_identity_row(n):
+    """The shortcut in _count_loops against the masked search it skips."""
+    for row in first_rows(n):
+        if row[0] == 0 and row != tuple(range(n)):
+            assert kunen._count_loops(n, row) == 0
+            assert list(_backtrack(n, row, None, kunen._loop_masks(n, 0))) == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_the_identity_row_loops_are_the_reduced_squares(n):
     """The scan counts them by formula; the enumeration is the oracle."""
     reduced = count_latin_squares_memoized(n) // (factorial(n) * factorial(n - 1))
@@ -439,7 +450,8 @@ def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
 
 
 def _pruned(n, row, identity) -> list:
-    return list(_backtrack(n, row, None, cell_check=kunen._cell_check(identity, n)))
+    allowed = [(1 << n) - 1] * (n * n)
+    return list(_backtrack(n, row, None, allowed, kunen._cell_check(identity, n, allowed)))
 
 
 def _filtered(n, row, identity) -> list:
@@ -467,9 +479,116 @@ def identities_and_first_rows(draw):
 @given(identities_and_first_rows())
 @example((parse_identity("x = y"), 3, (0, 1, 2)))  # fails with no product read
 @example((parse_identity("(x*y) = (x*y)"), 3, (1, 2, 0)))
+@example((parse_identity("x = (x*y)"), 3, (0, 1, 2)))  # pins on an empty table
+@example((parse_identity("((x*y)*y) = x"), 3, (0, 1, 2)))  # pins the lhs's hole
+@example((parse_identity("((x*y)*y) = x"), 4, (0, 1, 2, 3)))
+@example((parse_identity("(x*(x*x)) = x"), 4, (1, 0, 3, 2)))  # a first-row pin holds
+@example((parse_identity("(x*(x*x)) = x"), 4, (1, 2, 3, 0)))  # and one fails
 def test_cell_checked_search_matches_the_filtered_enumeration(case):
     identity, n, row = case
     assert _pruned(n, row, identity) == _filtered(n, row, identity)
+
+
+def _closure(function) -> dict:
+    """A closure's free variables by name, to read the check's watch lists."""
+    cells = (cell.cell_contents for cell in function.__closure__)
+    return dict(zip(function.__code__.co_freevars, cells))
+
+
+def _instance_state(identity, assignment, table, n):
+    """("decided", holds), ("forced", (cell, value)) or ("open", None).
+
+    Evaluated on the terms, apart from the straight-line program.  An
+    instance is forced when one side is defined and the other is a product
+    whose operands are, but whose cell is empty.
+    """
+    env = dict(zip(identity.variables, assignment))
+
+    def value(term):
+        if isinstance(term, Variable):
+            return env[term.name]
+        left, right = value(term.left), value(term.right)
+        if left is None or right is None or table[left * n + right] < 0:
+            return None
+        return table[left * n + right]
+
+    def empty_cell(term):
+        if isinstance(term, Multiply):
+            left, right = value(term.left), value(term.right)
+            if left is not None and right is not None:
+                return left * n + right
+        return None
+
+    lhs, rhs = value(identity.lhs), value(identity.rhs)
+    if lhs is not None and rhs is not None:
+        return "decided", lhs == rhs
+    for defined, other in ((lhs, identity.rhs), (rhs, identity.lhs)):
+        if defined is not None and empty_cell(other) is not None:
+            return "forced", (empty_cell(other), defined)
+    return "open", None
+
+
+def _assert_watched_and_pinned(identity, n, allowed, before, check, grid, pos):
+    """The check's state after it accepted the cell at pos.
+
+    Each open instance of identity waits once on the cells after pos, and
+    a decided or forced one not at all.  Each narrowed mask there is the
+    pin of a forced instance, and each mask the call narrowed is clear of
+    the filled cells in its row and column.
+    """
+    size, k = n * n, len(identity.variables)
+    table = [grid[c // n][c % n] if c <= pos else -1 for c in range(size)]
+    watch = _closure(check)["watch"]
+    waiting = Counter(tuple(regs[:k]) for c in range(pos + 1, size) for regs, _ in watch[c])
+    pins = {}
+    for a in itertools.product(range(n), repeat=k):
+        state, detail = _instance_state(identity, a, table, n)
+        if state == "decided":
+            assert detail
+        if state == "forced":
+            cell, v = detail
+            assert pins.setdefault(cell, v) == v
+        assert waiting[a] == (state == "open"), (a, state)
+    for c in range(size):
+        if c <= pos:
+            assert allowed[c] >> table[c] & 1
+        elif c in pins:
+            v = pins[c]
+            assert allowed[c] == 1 << v
+            if before[c] != allowed[c]:
+                assert v not in table[c - c % n : c] and v not in table[c % n : c : n]
+        else:
+            assert allowed[c] == (1 << n) - 1
+
+
+def _search_asserting_the_invariant(identity, n, row) -> list:
+    allowed = [(1 << n) - 1] * (n * n)
+    check = kunen._cell_check(identity, n, allowed)
+
+    def asserting(grid, pos):
+        before = list(allowed)
+        if not check(grid, pos):
+            return False
+        _assert_watched_and_pinned(identity, n, allowed, before, check, grid, pos)
+        return True
+
+    return list(_backtrack(n, row, None, allowed, asserting))
+
+
+@given(identities_and_first_rows())
+@example((parse_identity("x = (x*y)"), 1, (0,)))
+@example((parse_identity("((x*y)*y) = x"), 4, (0, 1, 2, 3)))
+def test_the_watch_lists_and_pins_track_every_open_instance(case):
+    identity, n, row = case
+    assert _search_asserting_the_invariant(identity, n, row) == _filtered(n, row, identity)
+
+
+@pytest.mark.parametrize("n, name", [(4, "N1"), (4, "moufang_left"), (5, "N1")])
+def test_the_watch_lists_and_pins_track_the_builtins(n, name):
+    identity = builtin_identity(name)
+    for orbit in first_row_orbits(n):
+        rep = orbit[0][0]
+        assert _search_asserting_the_invariant(identity, n, rep) == _pruned(n, rep, identity)
 
 
 @pytest.mark.parametrize("name", ["moufang_left", "associativity", "commutativity"])
@@ -481,12 +600,12 @@ def test_cell_checked_search_matches_on_the_order_5_representatives(name):
 
 
 def test_the_order_5_search_fills_few_cells(monkeypatch):
-    """Fewer than half the 15,461 cells that a check on completed rows fills."""
+    """Fewer than half the 2,712 cells that the N1 search filled without pins."""
     filled = []
     cell_check = kunen._cell_check
 
-    def counting(identity, n):
-        check = cell_check(identity, n)
+    def counting(identity, n, allowed):
+        check = cell_check(identity, n, allowed)
 
         def counted(grid, pos):
             filled.append(pos)
@@ -495,9 +614,11 @@ def test_the_order_5_search_fills_few_cells(monkeypatch):
         return counted
 
     monkeypatch.setattr(kunen, "_cell_check", counting)
-    r = kunen_scan(5)
-    assert (r.n1_count, r.loop_count) == (30, 280)
-    assert 0 < len(filled) < 15461 // 2
+    for name in ("N1", "moufang_left"):
+        filled.clear()
+        r = kunen_scan(5, identity_name=name)
+        assert (r.n1_count, r.n1_loop_count, r.loop_count) == (30, 30, 280)
+        assert 0 < len(filled) < 2712 // 2, name
 
 
 def test_a_single_unit_runs_without_a_pool(tmp_path, monkeypatch):
