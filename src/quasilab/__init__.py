@@ -7,7 +7,7 @@ Modules:
   permgroup   Schreier-Sims groups: LMlt, RMlt, Mlt
   measures    pushforwards, quasi-invariant measures, cocycle relations
   characters  multiplicative characters in log-coordinates
-  latin       Latin square enumeration, counting oracles, sampling
+  latin       Latin square enumeration, memoized counting, sampling
   kunen       exhaustive/sampled scans: identity satisfaction vs loops
   axb         numeric Haar verification on the ax+b group
   reports     JSON report schemas

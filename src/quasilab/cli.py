@@ -271,21 +271,19 @@ def _cmd_kunen_scan(args) -> int:
         raise ValueError("--seed applies only to a --sample scan")
     if sampled and args.allow_n6:
         raise ValueError("--allow-n6 applies only to a full scan")
-    mode = "sample" if sampled else "full"
-    seed = 0 if args.seed is None else args.seed
+    scan = dict(
+        mode="sample" if sampled else "full",
+        sample_size=args.sample,
+        seed=0 if args.seed is None else args.seed,
+        allow_n6=args.allow_n6,
+        identity_name=args.builtin,
+        jobs=args.jobs,
+        checkpoint=args.checkpoint,
+    )
     if args.modular:
         if args.counterexample_dir is not None:
             raise ValueError("--counterexample-dir does not apply to --modular")
-        rep = modular_scan(
-            args.order,
-            mode=mode,
-            sample_size=args.sample,
-            seed=seed,
-            allow_n6=args.allow_n6,
-            identity_name=args.builtin,
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-        )
+        rep = modular_scan(args.order, **scan)
         doc = rep.to_dict()
         _write_json(args, doc)
         _say(
@@ -296,17 +294,7 @@ def _cmd_kunen_scan(args) -> int:
             f"({rep.trivial_cocycle_count}/{rep.n1_count})",
         )
         return 0 if rep.all_trivial else 1
-    rep = kunen_scan(
-        args.order,
-        mode=mode,
-        sample_size=args.sample,
-        seed=seed,
-        allow_n6=args.allow_n6,
-        jobs=args.jobs,
-        checkpoint=args.checkpoint,
-        counterexample_dir=args.counterexample_dir,
-        identity_name=args.builtin,
-    )
+    rep = kunen_scan(args.order, counterexample_dir=args.counterexample_dir, **scan)
     doc = rep.to_dict()
     _write_json(args, doc)
     _say(

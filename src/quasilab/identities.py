@@ -6,11 +6,12 @@ demands parentheses around every binary application, so there are no
 precedence rules to get wrong for \\ and /.
 
 check_identity evaluates both sides exhaustively over all n^k variable
-assignments.  check_operator_n1 works purely with translation
-permutations; the two never share evaluation code, which is what lets
-n1_equivalence_report serve as a two-route check of the translation form
-of (N1): Q satisfies ((x*y)*z)*y = x*(y*(z*y)) pointwise iff
-R_y o L_{x*y} = L_x o L_y o R_y for all x, y, with (S o T)(z) = S(T(z)).
+assignments.  The operator route of n1_equivalence_report works purely
+with translation permutations; the two never share evaluation code,
+which is what lets n1_equivalence_report serve as a two-route check of
+the translation form of (N1): Q satisfies ((x*y)*z)*y = x*(y*(z*y))
+pointwise iff R_y o L_{x*y} = L_x o L_y o R_y for all x, y, with
+(S o T)(z) = S(T(z)).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cayley import FiniteQuasigroup
-from .perm import Perm, compose_images
+from .perm import compose_images
 
 
 class ParseError(ValueError):
@@ -225,17 +226,6 @@ def _evaluate(code, assignment, table, left_div, right_div) -> int:
     return stack[0]
 
 
-def evaluate_term(q: FiniteQuasigroup, term, assignment: dict) -> int:
-    """Evaluate one term under a {name: element} assignment."""
-    names = []
-    _collect_variables(term, names)
-    variables = tuple(names)
-    code = _compile(term, variables)
-    left_div, right_div = q._division_tables()
-    values = tuple(assignment[name] for name in variables)
-    return _evaluate(code, values, q.table, left_div, right_div)
-
-
 def check_identity(q: FiniteQuasigroup, identity: Identity, cap: int = 4) -> CheckResult:
     """Exhaustively test an identity over all n^k assignments.
 
@@ -263,15 +253,6 @@ def check_identity(q: FiniteQuasigroup, identity: Identity, cap: int = 4) -> Che
                 rhs_value=rhs,
             )
     return CheckResult(holds=True)
-
-
-def check_operator_n1(q: FiniteQuasigroup, x: int, y: int) -> bool:
-    """Whether R_y o L_{x*y} = L_x o L_y o R_y as permutations."""
-    ry = q.right_translation(y)
-    lxy = q.left_translation(q.multiply(x, y))
-    lx = q.left_translation(x)
-    ly = q.left_translation(y)
-    return (ry @ lxy) == (lx @ (ly @ ry))
 
 
 def _operator_n1_all(q: FiniteQuasigroup) -> bool:

@@ -9,19 +9,19 @@ and is dumped in full as a Cayley table text file (this is expected to
 never happen).
 
 Both the loop scan and the modular (measure) scan run through one
-driver that differs only in its per-square visitor; the modular one
-counts satisfiers, whose measures are settled by theorem.  Full scans
-partition the enumeration tree by first row.  A relabelling sigma with
-sigma(0) = 0 maps the squares with first row r bijectively onto those
-with first row sigma o r o sigma^-1, by T'(sigma x, sigma y) =
-sigma(T(x, y)), and preserves every tally a scan keeps (a term identity,
-loopness, the measure dimension, trivial cocycles).  So a work unit is
-one orbit of first rows: only its smallest row is searched, and every
-row of the orbit gets its counts and the counterexamples relabelled
-into it.  Units split across processes, and reports merge
-deterministically in lexicographic first-row order.  A JSON checkpoint
-file holds one result per first row, written as each orbit finishes,
-letting an interrupted scan resume without recounting.
+driver and one tally; the modular one keeps only the satisfier count,
+since the measures are settled by theorem.  A sample scan tallies its
+squares directly.  Full scans partition the enumeration tree by first
+row.  A relabelling sigma with sigma(0) = 0 maps the squares with first
+row r bijectively onto those with first row sigma o r o sigma^-1, by
+T'(sigma x, sigma y) = sigma(T(x, y)), and preserves every tally a scan
+keeps (a term identity, loopness).  So a work unit is one orbit of
+first rows: only its smallest row is searched, and every row of the
+orbit gets its counts and the counterexamples relabelled into it.
+Units split across processes, and reports merge deterministically in
+lexicographic first-row order.  A JSON checkpoint file holds one result
+per first row, written as each orbit finishes, letting an interrupted
+scan resume without recounting.
 
 A unit does not walk every square of its row.  The satisfiers come from
 a search in the style of the finite-model builders Mace4 and SEM: as
@@ -33,7 +33,7 @@ resumes from the products it had already computed.  An instance that
 lacks only one product, with operands known, forces that cell's value:
 the search pins the cell to it and skips every other value there.  The
 search prunes with the identity only, never with loopness, and each
-square it emits is checked again in full by the visitor, so a search
+square it emits is checked again in full by the tally, so a search
 defect could lose a satisfier but never invent one.  The loops are
 counted by the same backtracker on a forced identity row and column; on
 the identity row, where they are the reduced squares, by formula.  Every
@@ -52,7 +52,6 @@ import os
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import partial
 from multiprocessing import Pool
 
 from .cayley import FiniteQuasigroup, format_table_text
@@ -124,28 +123,20 @@ class ModularScanReport:
         return {"kind": "modular-scan", **asdict(self)}
 
 
-def _visit_loop(identity, counts, counterexamples, square):
-    """Loop scan: tally (N1), loops and both; keep (N1)-satisfying non-loops."""
-    q = FiniteQuasigroup(square)
-    n1 = check_identity(q, identity).holds
-    loop = q.is_loop()
-    if n1 or loop:  # rare: most squares touch no counter
-        counts["n1"] += n1
-        counts["loop"] += loop
-        counts["n1_loop"] += n1 and loop
-        if n1 and not loop:
-            counterexamples.append(square)
-
-
-def _visit_modular(identity, counts, counterexamples, square):
-    """Modular scan: each (N1)-satisfier counts in all three tallies."""
-    if check_identity(FiniteQuasigroup(square), identity).holds:
-        counts["n1"] += 1
-        counts["trivial"] += 1
-        counts["dimension_one"] += 1
-
-
-_VISITORS = {"kunen": _visit_loop, "modular": _visit_modular}
+def _tally(identity, squares) -> tuple[Counter, list]:
+    """Tally (N1), loops and both over squares; keep (N1)-satisfying non-loops."""
+    counts, counterexamples = Counter(), []
+    for square in squares:
+        q = FiniteQuasigroup(square)
+        n1 = check_identity(q, identity).holds
+        loop = q.is_loop()
+        if n1 or loop:  # rare: most squares touch no counter
+            counts["n1"] += n1
+            counts["loop"] += loop
+            counts["n1_loop"] += n1 and loop
+            if n1 and not loop:
+                counterexamples.append(square)
+    return counts, counterexamples
 
 
 def first_row_orbits(n: int) -> list[tuple]:
@@ -343,31 +334,25 @@ def _loop_masks(n: int, e: int) -> list[int]:
 
 
 def _run_unit(args) -> list:
-    """Visit one work unit: one first-row orbit, or the sample.
+    """Tally one work unit, a first-row orbit, for the scan kind.
 
-    Returns (first_row, result) for every row of the unit, a result being
+    Returns (first_row, result) for every row of the orbit, a result being
     a JSON-ready dict of counts plus the counterexample tables, so results
     merge by addition.  Only the orbit's representative is searched, and
-    only its identity satisfiers reach the visitor; each row copies the
+    only its identity satisfiers reach the tally; each row copies the
     counts and gets its counterexamples relabelled into that row, sorted
-    into the enumerator's lexicographic order.
+    into the enumerator's lexicographic order.  A modular unit keeps only
+    the satisfier count, so it counts no loops and relabels nothing.
     """
-    kind, identity_text, n, orbit, sample, row_total = args
+    kind, identity_text, n, orbit, row_total = args
     identity = parse_identity(identity_text)
-    counts, counterexamples = Counter(), []
-    emit = partial(_VISITORS[kind], identity, counts, counterexamples)
-    if orbit is None:
-        squares = sample_latin_squares(n, *sample)
-        for square in squares:
-            emit(square)
-        result = {"total": len(squares), **counts, "counterexamples": counterexamples}
-        return [(None, result)]
     rep, allowed = orbit[0][0], [(1 << n) - 1] * (n * n)
     cell_check = _cell_check(identity, n, allowed)
-    for square in _backtrack(n, rep, None, allowed, cell_check):
-        emit(square)
-    if kind == "kunen":
-        # the visitor saw only satisfiers, so it counted only their loops; in
+    counts, counterexamples = _tally(identity, _backtrack(n, rep, None, allowed, cell_check))
+    if kind == "modular":
+        counts, counterexamples = ({"n1": counts["n1"]} if counts else {}), []
+    else:
+        # the tally saw only satisfiers, so it counted only their loops; in
         # a row without loops its counts, zeros and keys included, stand.  On
         # the identity row 0 is a left identity, so its loops are the reduced
         # squares, row_total / (n - 1)! of them
@@ -385,7 +370,7 @@ def _run_unit(args) -> list:
 
 
 def _row_key(first_row) -> str:
-    return "sample" if first_row is None else ",".join(str(v) for v in first_row)
+    return ",".join(str(v) for v in first_row)
 
 
 def _is_int(v) -> bool:
@@ -460,26 +445,19 @@ def _scan(
     jobs: int,
     checkpoint: str | None,
 ) -> tuple[Counter, list]:
-    """Run the kind's visitor over the squares; return counts and counterexamples.
+    """Tally the squares for the kind; return counts and counterexamples.
 
-    Work units are first-row orbits in full mode, where the visitor sees
-    each identity satisfier, and the whole seeded sample in sample mode,
-    where it sees every sampled square.  Each finished unit's rows are
-    recorded to the checkpoint at once, and a unit is pending while any of
-    its rows is missing; results merge in lexicographic first-row order.
+    A full scan runs one work unit per first-row orbit, where the tally
+    sees each identity satisfier.  Each finished unit's rows are recorded
+    to the checkpoint at once, and a unit is pending while any of its rows
+    is missing; results merge in lexicographic first-row order.  A sample
+    scan tallies every sampled square directly.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if mode == "full":
-        if n > FULL_ENUMERATION_LIMIT:
-            raise OrderTooLarge(n, FULL_ENUMERATION_LIMIT)
-        if n > FULL_SCAN_DEFAULT_LIMIT and not allow_n6:
-            raise OrderTooLarge(n, FULL_SCAN_DEFAULT_LIMIT)
-        units, rows = first_row_orbits(n), list(first_rows(n))
-        row_total = count_latin_squares_memoized(n) // math.factorial(n)
-    elif mode == "sample":
+    if mode == "sample":
         if sample_size < 1:
             raise ValueError(f"sample size must be >= 1, got {sample_size}")
         if checkpoint is not None or jobs > 1:
@@ -487,16 +465,24 @@ def _scan(
                 "a sample scan is a single unit of work: it takes neither a "
                 "checkpoint nor more than one job"
             )
-        units, rows, row_total = [None], [None], None
-    else:
+        squares = sample_latin_squares(n, sample_size, seed)
+        counts, counterexamples = _tally(parse_identity(identity_text), squares)
+        counts["total"] = len(squares)
+        return counts, counterexamples
+    if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
+    if n > FULL_ENUMERATION_LIMIT:
+        raise OrderTooLarge(n, FULL_ENUMERATION_LIMIT)
+    if n > FULL_SCAN_DEFAULT_LIMIT and not allow_n6:
+        raise OrderTooLarge(n, FULL_SCAN_DEFAULT_LIMIT)
+    row_total = count_latin_squares_memoized(n) // math.factorial(n)
 
     header = {"order": n, "identity": identity_text, "kind": kind}
     completed = _load_checkpoint(checkpoint, header)
     pending = [
-        (kind, identity_text, n, unit, (sample_size, seed), row_total)
-        for unit in units
-        if unit is None or any(_row_key(row) not in completed for row, _ in unit)
+        (kind, identity_text, n, orbit, row_total)
+        for orbit in first_row_orbits(n)
+        if any(_row_key(row) not in completed for row, _ in orbit)
     ]
 
     def record(finished):
@@ -513,7 +499,7 @@ def _scan(
         record(map(_run_unit, pending))
 
     counts, counterexamples = Counter(), []
-    for row in rows:
+    for row in first_rows(n):
         result = dict(completed[_row_key(row)])
         counterexamples += result.pop("counterexamples")
         counts.update(result)
@@ -601,8 +587,9 @@ def modular_scan(
 
     Every Latin square has trivial cocycles and a one-dimensional
     invariant measure space (measures.solve_quasi_invariant), the finite
-    instance of cocycle collapse, so each satisfier counts in all three
-    tallies.  jobs and checkpoint work as in kunen_scan.
+    instance of cocycle collapse, so the scan counts satisfiers and each
+    one counts in all three tallies.  jobs and checkpoint work as in
+    kunen_scan.
     """
     start = time.perf_counter()
     identity_text = pretty(builtin_identity(identity_name))
@@ -615,9 +602,9 @@ def modular_scan(
         mode=mode,
         total_squares=counts["total"],
         n1_count=counts["n1"],
-        trivial_cocycle_count=counts["trivial"],
-        all_trivial=counts["trivial"] == counts["n1"],
-        dimension_one_count=counts["dimension_one"],
+        trivial_cocycle_count=counts["n1"],
+        all_trivial=True,
+        dimension_one_count=counts["n1"],
         elapsed=time.perf_counter() - start,
         sample_size=sample_size if sampled else None,
         seed=seed if sampled else None,

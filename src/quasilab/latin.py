@@ -2,10 +2,10 @@
 
 The enumerator is a cell-by-cell backtracker over row/column bitmasks,
 emitting squares in lexicographic row-major order (candidate values are
-tried smallest-first).  Two independent counters guard it: a literal
-brute-force filter for n <= 4 and a memoized row-by-row dynamic program
-keyed on the multiset of column masks, which shares no code with the
-backtracker.  Known counts: 1, 2, 12, 576, 161280, 812851200 for
+tried smallest-first).  An independent counter guards it: a memoized
+row-by-row dynamic program keyed on the multiset of column masks, which
+shares no code with the backtracker.  The tests add a third, a literal
+brute-force filter for n <= 4 (tests/latin_oracle.py).  Known counts: 1, 2, 12, 576, 161280, 812851200 for
 n = 1..6.
 
 Sampling runs the same backtracking shape with seeded shuffled candidate
@@ -153,48 +153,6 @@ def _backtrack(n: int, first_row, rng, allowed=None, cell_check=None):
             pos -= 1
         else:
             choices[pos] = candidates(pos)
-
-
-def _is_latin(rows, n) -> bool:
-    target = set(range(n))
-    for row in rows:
-        if set(row) != target:
-            return False
-    for c in range(n):
-        if {row[c] for row in rows} != target:
-            return False
-    return True
-
-
-def count_latin_squares_bruteforce(n: int) -> int:
-    """Independent counting oracle, no backtracking.
-
-    n <= 3: filter literally all n^(n*n) integer arrays.  n = 4: filter
-    all 24^4 choices of four permutation rows on the column condition
-    (row condition already holds by construction).  Larger n refused.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n <= 3:
-        count = 0
-        cells = n * n
-        for flat in itertools.product(range(n), repeat=cells):
-            rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-            if _is_latin(rows, n):
-                count += 1
-        return count
-    if n == 4:
-        perms = list(itertools.permutations(range(4)))
-        count = 0
-        for rows in itertools.product(perms, repeat=4):
-            for c in range(4):
-                col = {rows[0][c], rows[1][c], rows[2][c], rows[3][c]}
-                if len(col) != 4:
-                    break
-            else:
-                count += 1
-        return count
-    raise OrderTooLarge(n, 4)
 
 
 def count_latin_squares_memoized(n: int) -> int:

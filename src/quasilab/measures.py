@@ -112,11 +112,6 @@ def pushforward(t: Perm, mu: Measure) -> Measure:
     return Measure(out)
 
 
-def pushforward_functoriality_check(s: Perm, t: Perm, mu: Measure) -> bool:
-    """(S o T)_* mu == S_*(T_* mu), exactly."""
-    return pushforward(s @ t, mu) == pushforward(s, pushforward(t, mu))
-
-
 @dataclass(frozen=True)
 class PairCheck:
     holds: bool

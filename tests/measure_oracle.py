@@ -7,7 +7,8 @@ answer out without that theorem.  The invariant measures are the
 functions constant on the orbits of all 2n translations, so the basis is
 one indicator per orbit and the measure is their sum.  Each cocycle value
 is then read off by the exact ratio test (T_* mu = c mu), so a wrong
-basis shows as a missing or non-unit ratio.
+basis shows as a missing or non-unit ratio.  The functoriality check of
+pushforward lives here too, as only the tests call it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ class OrbitSolution:
     measure: Measure
     left_ratios: tuple[Fraction | None, ...]  # None where no ratio exists
     right_ratios: tuple[Fraction | None, ...]
+
+
+def pushforward_functoriality_check(s, t, mu: Measure) -> bool:
+    """(S o T)_* mu == S_*(T_* mu), exactly."""
+    return pushforward(s @ t, mu) == pushforward(s, pushforward(t, mu))
 
 
 def ratio(pushed: Measure, mu: Measure):

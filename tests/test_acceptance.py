@@ -27,7 +27,6 @@ from quasilab.characters import (
 from quasilab.identities import n1_equivalence_report
 from quasilab.kunen import kunen_scan
 from quasilab.latin import (
-    count_latin_squares_bruteforce,
     count_latin_squares_memoized,
     enumerate_latin_squares,
     sample_latin_squares,
@@ -37,14 +36,14 @@ from quasilab.measures import (
     Measure,
     check_multiplicative,
     pushforward,
-    pushforward_functoriality_check,
     solve_quasi_invariant,
     verify_cocycle_relation,
 )
 from quasilab.perm import Perm
 
+from latin_oracle import count_latin_squares_bruteforce
 from linalg_oracle import character_equation_rows, nullspace
-from measure_oracle import solve_by_orbits
+from measure_oracle import pushforward_functoriality_check, solve_by_orbits
 
 CORPUS_SEED = 1789
 SAMPLES_PER_ORDER = 5000

@@ -309,12 +309,13 @@ def _unreduced_walk(n: int, identity_text: str) -> dict:
     """The checkpoint entries of both scan kinds, keyed by kind.
 
     The walk enumerates every square of every first row and checks each
-    square once.  A modular entry reads each satisfier's measure off the
-    orbit oracle rather than the package's solver.  The result is shared
-    between callers, who must not change it.
+    square once.  Under "measures" it also keeps, per row, how many
+    satisfiers the orbit oracle, not the package's solver, finds with
+    trivial cocycles and with a one-dimensional measure space.  The
+    result is shared between callers, who must not change it.
     """
     identity = parse_identity(identity_text)
-    walks = {"kunen": {}, "modular": {}}
+    walks = {"kunen": {}, "modular": {}, "measures": {}}
     for row in first_rows(n):
         loops, found, measures = Counter(), [], Counter()
 
@@ -336,7 +337,9 @@ def _unreduced_walk(n: int, identity_text: str) -> dict:
 
         total = enumerate_with_first_row(n, row, visit)
         walks["kunen"][_key(row)] = {"total": total, **loops, "counterexamples": found}
-        walks["modular"][_key(row)] = {"total": total, **measures, "counterexamples": []}
+        satisfiers = {"n1": measures["n1"]} if measures else {}
+        walks["modular"][_key(row)] = {"total": total, **satisfiers, "counterexamples": []}
+        walks["measures"][_key(row)] = dict(measures)
     return json.loads(json.dumps(walks))
 
 
@@ -357,11 +360,20 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
     path = str(tmp_path / "reduced.json")
     scan = kunen_scan if kind == "kunen" else modular_scan
     dumps = {"counterexample_dir": str(tmp_path)} if kind == "kunen" else {}
-    scan(n, checkpoint=path, identity_name=name, **dumps)  # dumps kept off the cwd
+    report = scan(n, checkpoint=path, identity_name=name, **dumps)  # dumps kept off the cwd
     with open(path) as fh:
         completed = json.load(fh)["completed"]
-    expected = _unreduced_walk(n, pretty(builtin_identity(name)))[kind]
-    assert completed == expected
+    walk = _unreduced_walk(n, pretty(builtin_identity(name)))
+    assert completed == walk[kind]
+    if kind == "modular":
+        # the scan counts satisfiers and takes their measures by theorem;
+        # the orbit oracle solves each satisfier on its own
+        measures = {key: Counter(tally) for key, tally in walk["measures"].items()}
+        for key, tally in measures.items():
+            n1 = completed[key].get("n1", 0)
+            assert tally["trivial"] == tally["dimension_one"] == n1
+        assert sum(t["trivial"] for t in measures.values()) == report.trivial_cocycle_count
+        assert sum(t["dimension_one"] for t in measures.values()) == report.dimension_one_count
     if name == "commutativity":
         # 3 and 80 commutative non-loops; at order 4 rows hold several, so
         # the relabelled counterexamples must also be sorted
@@ -655,6 +667,49 @@ def test_checkpoint_of_the_unreduced_walk_resumes_with_no_units(
     calls = _count_units(monkeypatch)
     assert _fields(scan(4, checkpoint=path)) == _fields(fresh)
     assert calls == []
+
+
+def test_a_modular_checkpoint_with_measure_tallies_resumes(tmp_path, monkeypatch):
+    """Entries that also hold trivial and dimension_one counts still resume."""
+    walk = _unreduced_walk(4, N1_TEXT)
+    old_format = {
+        key: {"total": entry["total"], **walk["measures"][key], "counterexamples": []}
+        for key, entry in walk["modular"].items()
+    }
+    assert sum(entry.get("trivial", 0) for entry in old_format.values()) == 16
+    orbits = first_row_orbits(4)
+    missing = [orbits[i] for i in (2, 4, 6)]
+    dropped = {_key(row) for orbit in missing for row, _ in orbit}
+    assert any("n1" in old_format[key] for key in dropped)  # satisfiers are recounted
+    path = str(tmp_path / "old.json")
+    with open(path, "w") as fh:
+        json.dump({"order": 4, "identity": N1_TEXT, "kind": "modular",
+                   "completed": {k: v for k, v in old_format.items() if k not in dropped}}, fh)
+    uninterrupted = modular_scan(4)
+    calls = _count_units(monkeypatch)
+    assert _fields(modular_scan(4, checkpoint=path)) == _fields(uninterrupted)
+    assert calls == missing
+
+    with open(path, "w") as fh:
+        json.dump({"order": 4, "identity": N1_TEXT, "kind": "modular",
+                   "completed": old_format}, fh)
+    calls.clear()
+    assert _fields(modular_scan(4, checkpoint=path)) == _fields(uninterrupted)
+    assert calls == []
+
+
+def test_a_modular_scan_counts_no_loops_and_relabels_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a modular unit needs no loops and no relabelling")
+
+    monkeypatch.setattr(kunen, "_count_loops", refuse)
+    monkeypatch.setattr(kunen, "conjugate", refuse)
+    m = modular_scan(5)
+    assert (m.n1_count, m.trivial_cocycle_count, m.dimension_one_count) == (30, 30, 30)
+    # 80 of the commutative squares of order 4 are non-loops (the loop scan
+    # relabels each into its row), and all 16 loops are abelian groups
+    m = modular_scan(4, identity_name="commutativity")
+    assert (m.n1_count, m.trivial_cocycle_count, m.all_trivial) == (96, 96, True)
 
 
 @st.composite

@@ -18,7 +18,6 @@ from quasilab.measures import (
     Measure,
     check_multiplicative,
     pushforward,
-    pushforward_functoriality_check,
     solve_quasi_invariant,
     verify_cocycle_relation,
 )
@@ -26,7 +25,7 @@ from quasilab.perm import DegreeMismatch, Perm, orbits
 from quasilab.permgroup import generate
 
 from linalg_oracle import nullspace
-from measure_oracle import solve_by_orbits
+from measure_oracle import pushforward_functoriality_check, solve_by_orbits
 
 
 def _difference_nullspace(gens, n):
