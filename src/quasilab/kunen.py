@@ -1,7 +1,7 @@
 """Empirical scans over Latin squares: (N1) versus loop structure.
 
 The theorem under test: every quasigroup satisfying (N1) is a loop.  A
-scan therefore tallies, over every square of a given order, how many
+scan therefore reports, over every square of a given order, how many
 satisfy (N1), how many are loops, and how many do both; the equality
 n1_loop_count == n1_count is the verified property.  Any square that
 satisfies the identity without being a loop would be a counterexample
@@ -34,13 +34,16 @@ lacks only one product, with operands known, forces that cell's value:
 the search pins the cell to it and skips every other value there.  The
 search prunes with the identity only, never with loopness, and each
 square it emits is checked again in full by the tally, so a search
-defect could lose a satisfier but never invent one.  The loops are
-counted by the same backtracker on a forced identity row and column; on
-the identity row, where they are the reduced squares, by formula.  Every
-row's total is count_latin_squares_memoized(n) / n!, since permuting
-columns maps the squares with one first row onto those with any other.
-The full order-6 scan takes about 0.25 s serially, where a walk over
-every square took 12 minutes with two processes.
+defect could lose a satisfier but never invent one.  Every row's total
+is count_latin_squares_memoized(n) / n!, since permuting columns maps the
+squares with one first row onto those with any other.  The loops are
+counted by theorem: relabelling by the transposition (0 e) maps the
+loops with identity e one to one onto those with identity 0, the reduced
+squares (first row and column in order), of which there are R(n) =
+L(n) / (n! (n - 1)!) (McKay and Wanless, "On the number of Latin
+squares", 2005).  So there are n R(n) loops, n times the row total over
+(n - 1)!.  The full order-6 scan takes about 0.25 s serially, where a
+walk over every square took 12 minutes with two processes.
 """
 
 from __future__ import annotations
@@ -307,32 +310,6 @@ def _cell_check(identity, n: int, allowed):
     return check
 
 
-def _count_loops(n: int, first_row) -> int:
-    """The number of loops with this first row.
-
-    A loop with first row r has its identity at e = r.index(0), since
-    0 * e = 0.  So row e and column e are forced to the identity; then x
-    sits in column e of row x and y in row e of column y, so no other cell
-    (x, y) may hold x or y.  A first row that does not fit has no loops:
-    r[0] == 0 makes row 0 the identity row, so any other such r is settled
-    without a search.
-    """
-    e = first_row.index(0)
-    if e == 0 and tuple(first_row) != tuple(range(n)):
-        return 0
-    return sum(1 for _ in _backtrack(n, first_row, None, _loop_masks(n, e)))
-
-
-def _loop_masks(n: int, e: int) -> list[int]:
-    """The value masks of the loops with identity e, in row-major cell order."""
-    full = (1 << n) - 1
-    return [
-        1 << y if x == e else 1 << x if y == e else full & ~(1 << x | 1 << y)
-        for x in range(n)
-        for y in range(n)
-    ]
-
-
 def _run_unit(args) -> list:
     """Tally one work unit, a first-row orbit, for the scan kind.
 
@@ -341,8 +318,9 @@ def _run_unit(args) -> list:
     merge by addition.  Only the orbit's representative is searched, and
     only its identity satisfiers reach the tally; each row copies the
     counts and gets its counterexamples relabelled into that row, sorted
-    into the enumerator's lexicographic order.  A modular unit keeps only
-    the satisfier count, so it counts no loops and relabels nothing.
+    into the enumerator's lexicographic order.  No unit keeps a loop
+    count (the scan takes it by theorem), and a modular unit keeps only
+    the satisfier count, so it relabels nothing.
     """
     kind, identity_text, n, orbit, row_total = args
     identity = parse_identity(identity_text)
@@ -352,16 +330,7 @@ def _run_unit(args) -> list:
     if kind == "modular":
         counts, counterexamples = ({"n1": counts["n1"]} if counts else {}), []
     else:
-        # the tally saw only satisfiers, so it counted only their loops; in
-        # a row without loops its counts, zeros and keys included, stand.  On
-        # the identity row 0 is a left identity, so its loops are the reduced
-        # squares, row_total / (n - 1)! of them
-        if rep == tuple(range(n)):
-            loops = row_total // math.factorial(n - 1)
-        else:
-            loops = _count_loops(n, rep)
-        if loops:
-            counts = {"n1": counts["n1"], "loop": loops, "n1_loop": counts["n1_loop"]}
+        counts = {"n1": counts["n1"], "n1_loop": counts["n1_loop"]} if counts else {}
     results = []
     for row, sigma in orbit:
         relabelled = sorted(conjugate(square, sigma) for square in counterexamples)
@@ -390,13 +359,15 @@ def _is_table(square, n: int) -> bool:
     )
 
 
-def _load_checkpoint(path: str | None, header: dict) -> dict:
+def _load_checkpoint(path: str | None, header: dict, row_total: int) -> dict:
     """The completed entries, one per first row, of a checkpoint for this scan.
 
     A checkpoint of another scan is ignored; a malformed one raises
     ValueError naming the file.  Every entry needs counts that are
-    non-negative ints and a list of order x order counterexample tables
-    with entries in range, so the merge and the dump never see a bad value.
+    non-negative ints, a total of row_total, and a list of order x order
+    counterexample tables with entries in range, and in a loop entry n1 is
+    n1_loop plus the counterexamples, so the merge and the dump never see
+    a bad value.
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -415,6 +386,7 @@ def _load_checkpoint(path: str | None, header: dict) -> dict:
             f"checkpoint {path}: every completed entry needs a total and counterexamples"
         )
     n = header["order"]
+    loop = header["kind"] == "kunen"
     for entry in completed.values():
         if not all(_is_int(v) and v >= 0 for k, v in entry.items() if k != "counterexamples"):
             raise ValueError(f"checkpoint {path}: every count must be a non-negative integer")
@@ -423,6 +395,10 @@ def _load_checkpoint(path: str | None, header: dict) -> dict:
             raise ValueError(
                 f"checkpoint {path}: counterexamples must be {n}x{n} tables of 0..{n - 1}"
             )
+        if entry["total"] != row_total:
+            raise ValueError(f"checkpoint {path}: every first row has {row_total} squares")
+        if loop and entry.get("n1", 0) != entry.get("n1_loop", 0) + len(squares):
+            raise ValueError(f"checkpoint {path}: n1 must be n1_loop plus the counterexamples")
     return completed
 
 
@@ -451,7 +427,8 @@ def _scan(
     sees each identity satisfier.  Each finished unit's rows are recorded
     to the checkpoint at once, and a unit is pending while any of its rows
     is missing; results merge in lexicographic first-row order.  A sample
-    scan tallies every sampled square directly.
+    scan tallies every sampled square directly, and a full scan sets the
+    loop count by the theorem of the module docstring after the merge.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -478,7 +455,7 @@ def _scan(
     row_total = count_latin_squares_memoized(n) // math.factorial(n)
 
     header = {"order": n, "identity": identity_text, "kind": kind}
-    completed = _load_checkpoint(checkpoint, header)
+    completed = _load_checkpoint(checkpoint, header, row_total)
     pending = [
         (kind, identity_text, n, orbit, row_total)
         for orbit in first_row_orbits(n)
@@ -503,6 +480,8 @@ def _scan(
         result = dict(completed[_row_key(row)])
         counterexamples += result.pop("counterexamples")
         counts.update(result)
+    # this overrides the loop counts of entries that earlier versions wrote
+    counts["loop"] = n * row_total // math.factorial(n - 1)
     return counts, counterexamples
 
 
@@ -539,10 +518,11 @@ def kunen_scan(
     """Scan all (or sampled) order-n Latin squares for the Kunen property.
 
     mode "full" covers every square (n <= 5 unless allow_n6; n = 6 is
-    ~8.1e8 squares) by the pruned search of the module docstring.  mode "sample" draws sample_size seeded squares and
-    takes neither jobs > 1 nor a checkpoint.  identity_name picks the
-    identity from the builtin catalog, so the scan can be repeated with
-    e.g. the classical left Moufang identity.
+    ~8.1e8 squares) by the pruned search of the module docstring.  mode
+    "sample" draws sample_size seeded squares and takes neither jobs > 1
+    nor a checkpoint.  identity_name picks the identity from the builtin
+    catalog, so the scan can be repeated with e.g. the classical left
+    Moufang identity.
     """
     start = time.perf_counter()
     identity_text = pretty(builtin_identity(identity_name))

@@ -7,6 +7,7 @@ or format errors (message on stderr).
 
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -16,6 +17,7 @@ import pytest
 import quasilab
 from quasilab.cli import main
 from quasilab.identities import builtin_identity, pretty
+from quasilab.kunen import kunen_scan
 from quasilab.reports import validate_report
 
 Z3_TEXT = "3\n0 1 2\n1 2 0\n2 0 1\n"
@@ -440,6 +442,33 @@ def test_kunen_scan_malformed_checkpoint_is_a_usage_error(tmp_path, capsys):
         assert main(argv) == 2, name
         assert str(path) in capsys.readouterr().err
         assert json.loads(path.read_text()) == doc  # left as it was
+
+
+def test_kunen_scan_tampered_checkpoint_is_a_usage_error(tmp_path, capsys):
+    """Counts that disagree with the order or with each other are refused.
+
+    A satisfier count of 999 would fail the property (exit 1), and a row
+    total of 5 would report 557 squares; both files exit 2 and dump nothing.
+    """
+    path = tmp_path / "scan4.json"
+    kunen_scan(4, checkpoint=str(path))
+    doc = json.loads(path.read_text())
+    assert doc["completed"]["0,1,2,3"]["n1"] == 4
+    tampered = {"n1": {"n1": 999}, "total": {"total": 5}}
+    for name, change in tampered.items():
+        bad = json.loads(json.dumps(doc))
+        bad["completed"]["0,1,2,3"].update(change)
+        path.write_text(json.dumps(bad))
+        dumps = tmp_path / f"dumps_{name}"
+        argv = ["kunen-scan", "--order", "4", "--checkpoint", str(path),
+                "--counterexample-dir", str(dumps)]
+        assert main(argv) == 2, name
+        assert str(path) in capsys.readouterr().err
+        assert not dumps.exists()
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            kunen_scan(4, checkpoint=str(path), counterexample_dir=str(dumps))
+        assert not dumps.exists()
+        assert json.loads(path.read_text()) == bad  # left as it was
 
 
 def test_python_dash_m_runs_the_cli():

@@ -343,6 +343,14 @@ def _unreduced_walk(n: int, identity_text: str) -> dict:
     return json.loads(json.dumps(walks))
 
 
+def _without_loops(entries) -> dict:
+    """Checkpoint entries without their loop and zero counts."""
+    return {
+        key: {k: v for k, v in entry.items() if k != "loop" and v != 0}
+        for key, entry in entries.items()
+    }
+
+
 ORACLE_CASES = [
     (n, kind, "N1") for n in range(1, 5) for kind in ("kunen", "modular")
 ] + [
@@ -364,7 +372,15 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
     with open(path) as fh:
         completed = json.load(fh)["completed"]
     walk = _unreduced_walk(n, pretty(builtin_identity(name)))
-    assert completed == walk[kind]
+    # the scan takes its loops by theorem, so its rows keep no loop count;
+    # the walk counts every loop square by square
+    assert _without_loops(completed) == _without_loops(walk[kind])
+    if kind == "kunen":
+        assert sum(entry.get("loop", 0) for entry in walk[kind].values()) == report.loop_count
+    if (n, kind, name) == (5, "kunen", "N1"):
+        # no walk reaches order 6; R(6) = 9,408 is the published count
+        # (McKay and Wanless 2005) of the reduced squares
+        assert kunen_scan(6, allow_n6=True).loop_count == 6 * 9408
     if kind == "modular":
         # the scan counts satisfiers and takes their measures by theorem;
         # the orbit oracle solves each satisfier on its own
@@ -432,22 +448,6 @@ def test_full_scan_counts_match_group_theory(n):
     assert r.n1_count == sum(factorial(n) // _automorphism_count(g) for g in GROUPS[n])
     reduced = count_latin_squares_memoized(n) // (factorial(n) * factorial(n - 1))
     assert r.loop_count == n * reduced
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_rows_starting_with_0_have_loops_only_on_the_identity_row(n):
-    """The shortcut in _count_loops against the masked search it skips."""
-    for row in first_rows(n):
-        if row[0] == 0 and row != tuple(range(n)):
-            assert kunen._count_loops(n, row) == 0
-            assert list(_backtrack(n, row, None, kunen._loop_masks(n, 0))) == []
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_the_identity_row_loops_are_the_reduced_squares(n):
-    """The scan counts them by formula; the enumeration is the oracle."""
-    reduced = count_latin_squares_memoized(n) // (factorial(n) * factorial(n - 1))
-    assert kunen._count_loops(n, tuple(range(n))) == reduced
 
 
 def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
@@ -669,6 +669,30 @@ def test_checkpoint_of_the_unreduced_walk_resumes_with_no_units(
     assert calls == []
 
 
+def _resume_from_old_entries(scan, kind, old_format, tmp_path, monkeypatch) -> set:
+    """Resume an order-4 scan from entries in an older format.
+
+    With three orbits missing only those run, and with none missing no
+    unit runs; both times the report is the uninterrupted one.  Returns
+    the keys of the missing rows.
+    """
+    orbits = first_row_orbits(4)
+    missing = [orbits[i] for i in (2, 4, 6)]
+    dropped = {_key(row) for orbit in missing for row, _ in orbit}
+    partial = {k: v for k, v in old_format.items() if k not in dropped}
+    path = str(tmp_path / "old.json")
+    uninterrupted = scan(4)
+    calls = _count_units(monkeypatch)
+    for completed, runs in ((partial, missing), (old_format, [])):
+        with open(path, "w") as fh:
+            json.dump({"order": 4, "identity": N1_TEXT, "kind": kind,
+                       "completed": completed}, fh)
+        calls.clear()
+        assert _fields(scan(4, checkpoint=path)) == _fields(uninterrupted)
+        assert calls == runs
+    return dropped
+
+
 def test_a_modular_checkpoint_with_measure_tallies_resumes(tmp_path, monkeypatch):
     """Entries that also hold trivial and dimension_one counts still resume."""
     walk = _unreduced_walk(4, N1_TEXT)
@@ -677,32 +701,28 @@ def test_a_modular_checkpoint_with_measure_tallies_resumes(tmp_path, monkeypatch
         for key, entry in walk["modular"].items()
     }
     assert sum(entry.get("trivial", 0) for entry in old_format.values()) == 16
-    orbits = first_row_orbits(4)
-    missing = [orbits[i] for i in (2, 4, 6)]
-    dropped = {_key(row) for orbit in missing for row, _ in orbit}
+    dropped = _resume_from_old_entries(modular_scan, "modular", old_format, tmp_path, monkeypatch)
     assert any("n1" in old_format[key] for key in dropped)  # satisfiers are recounted
-    path = str(tmp_path / "old.json")
-    with open(path, "w") as fh:
-        json.dump({"order": 4, "identity": N1_TEXT, "kind": "modular",
-                   "completed": {k: v for k, v in old_format.items() if k not in dropped}}, fh)
-    uninterrupted = modular_scan(4)
-    calls = _count_units(monkeypatch)
-    assert _fields(modular_scan(4, checkpoint=path)) == _fields(uninterrupted)
-    assert calls == missing
 
-    with open(path, "w") as fh:
-        json.dump({"order": 4, "identity": N1_TEXT, "kind": "modular",
-                   "completed": old_format}, fh)
-    calls.clear()
-    assert _fields(modular_scan(4, checkpoint=path)) == _fields(uninterrupted)
-    assert calls == []
+
+def test_a_loop_checkpoint_with_loop_counts_resumes(tmp_path, monkeypatch):
+    """Entries that hold loop counts, as earlier versions wrote them, still resume.
+
+    Those versions wrote the walk's entries: n1, loop and n1_loop in every
+    row with a satisfier or a loop.  The scan must replace their loop
+    counts by its own, not add to them.
+    """
+    old_format = _unreduced_walk(4, N1_TEXT)["kunen"]
+    assert sum(entry.get("loop", 0) for entry in old_format.values()) == 16
+    dropped = _resume_from_old_entries(kunen_scan, "kunen", old_format, tmp_path, monkeypatch)
+    assert any(old_format[key].get("loop") for key in dropped)
+    assert any(old_format[key].get("loop") for key in old_format.keys() - dropped)
 
 
 def test_a_modular_scan_counts_no_loops_and_relabels_nothing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a modular unit needs no loops and no relabelling")
+        raise AssertionError("a modular unit relabels nothing")
 
-    monkeypatch.setattr(kunen, "_count_loops", refuse)
     monkeypatch.setattr(kunen, "conjugate", refuse)
     m = modular_scan(5)
     assert (m.n1_count, m.trivial_cocycle_count, m.dimension_one_count) == (30, 30, 30)
