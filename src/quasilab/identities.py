@@ -5,13 +5,16 @@ x with a*x = b) and right division a/b (the y with y*b = a).  The grammar
 demands parentheses around every binary application, so there are no
 precedence rules to get wrong for \\ and /.
 
-check_identity evaluates both sides exhaustively over all n^k variable
-assignments.  The operator route of n1_equivalence_report works purely
-with translation permutations; the two never share evaluation code,
-which is what lets n1_equivalence_report serve as a two-route check of
-the translation form of (N1): Q satisfies ((x*y)*z)*y = x*(y*(z*y))
-pointwise iff R_y o L_{x*y} = L_x o L_y o R_y for all x, y, with
-(S o T)(z) = S(T(z)).
+This module alone knows the term tree: compile_identity turns an identity
+into one straight-line program over registers, and both evaluators run
+it.  check_identity runs it exhaustively over all n^k variable
+assignments; the pruned scan (kunen._cell_check) runs it for every
+instance at once on a partial table, resuming each instance from a watch
+list.  The operator route of n1_equivalence_report works purely with
+translation permutations and shares no evaluation code with either,
+which is what lets it serve as a two-route check of the translation form
+of (N1): Q satisfies ((x*y)*z)*y = x*(y*(z*y)) pointwise iff
+R_y o L_{x*y} = L_x o L_y o R_y for all x, y, with (S o T)(z) = S(T(z)).
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ class CheckResult:
 
 
 _OPS = {"*": Multiply, "\\": LeftDivide, "/": RightDivide}
+_OPCODES = {Multiply: 0, LeftDivide: 1, RightDivide: 2}  # indices into tables
 
 
 class _Parser:
@@ -175,7 +179,7 @@ def parse_identity(text: str) -> Identity:
 def pretty_term(term) -> str:
     if isinstance(term, Variable):
         return term.name
-    op = {Multiply: "*", LeftDivide: "\\", RightDivide: "/"}[type(term)]
+    op = "*\\/"[_OPCODES[type(term)]]
     return f"({pretty_term(term.left)}{op}{pretty_term(term.right)})"
 
 
@@ -183,75 +187,48 @@ def pretty(identity: Identity) -> str:
     return f"{pretty_term(identity.lhs)} = {pretty_term(identity.rhs)}"
 
 
-# Postfix opcodes for the evaluation loop: (_PUSH, var_index) loads from
-# the assignment tuple, the rest pop two operands (left pushed first).
-_PUSH, _MUL, _LDIV, _RDIV = 0, 1, 2, 3
+def compile_identity(identity: Identity) -> tuple[list, int, int]:
+    """Both sides of identity as one straight-line program.
 
+    Registers 0..k-1 hold the k variables.  Step i is (op, a, b): it
+    writes register k + i as tables[op][a][b] from two earlier registers,
+    where tables is (q.table, *q._division_tables()), so op is 0 for *,
+    1 for \\ and 2 for /.  The lhs's steps all come first.  Returns the
+    steps and the registers of the two sides.
+    """
+    variables, program = identity.variables, []
 
-def _compile(term, variables: tuple[str, ...]) -> list:
-    code = []
+    def emit(term) -> int:
+        if isinstance(term, Variable):
+            return variables.index(term.name)
+        program.append((_OPCODES[type(term)], emit(term.left), emit(term.right)))
+        return len(variables) + len(program) - 1
 
-    def emit(t):
-        if isinstance(t, Variable):
-            code.append((_PUSH, variables.index(t.name)))
-        else:
-            emit(t.left)
-            emit(t.right)
-            code.append(
-                {Multiply: (_MUL, 0), LeftDivide: (_LDIV, 0), RightDivide: (_RDIV, 0)}[
-                    type(t)
-                ]
-            )
-
-    emit(term)
-    return code
-
-
-def _evaluate(code, assignment, table, left_div, right_div) -> int:
-    stack = []
-    push = stack.append
-    for op, arg in code:
-        if op == _PUSH:
-            push(assignment[arg])
-        else:
-            b = stack.pop()
-            a = stack.pop()
-            if op == _MUL:
-                push(table[a][b])
-            elif op == _LDIV:
-                push(left_div[a][b])
-            else:
-                # a/b: the y with y*b = a, stored at right_div[a][b]
-                push(right_div[a][b])
-    return stack[0]
+    lhs, rhs = emit(identity.lhs), emit(identity.rhs)
+    return program, lhs, rhs
 
 
 def check_identity(q: FiniteQuasigroup, identity: Identity, cap: int = 4) -> CheckResult:
     """Exhaustively test an identity over all n^k assignments.
 
-    Assignments run in lexicographic order over the identity's variable
-    list, so the reported counterexample is the smallest failing one.
+    Each assignment runs the program of compile_identity over one register
+    list, in lexicographic order over the identity's variable list, so the
+    reported counterexample is the smallest failing one.
     """
     k = len(identity.variables)
     if k > cap:
         raise VariableLimitExceeded(k, cap)
-    lhs_code = _compile(identity.lhs, identity.variables)
-    rhs_code = _compile(identity.rhs, identity.variables)
-    table = q.table
-    if any(op in (_LDIV, _RDIV) for op, _ in lhs_code + rhs_code):
-        left_div, right_div = q._division_tables()
-    else:
-        left_div = right_div = ()
+    program, lhs, rhs = compile_identity(identity)
+    tables = (q.table, *q._division_tables()) if any(op for op, _, _ in program) else (q.table,)
+    steps = [(i, tables[op], a, b) for i, (op, a, b) in enumerate(program, k)]
+    regs = [0] * (k + len(program))
     for assignment in itertools.product(range(q.order), repeat=k):
-        lhs = _evaluate(lhs_code, assignment, table, left_div, right_div)
-        rhs = _evaluate(rhs_code, assignment, table, left_div, right_div)
-        if lhs != rhs:
-            return CheckResult(
-                holds=False,
-                counterexample=dict(zip(identity.variables, assignment)),
-                lhs_value=lhs,
-                rhs_value=rhs,
-            )
+        regs[:k] = assignment
+        for i, table, a, b in steps:
+            regs[i] = table[regs[a]][regs[b]]
+        if regs[lhs] != regs[rhs]:
+            counterexample = dict(zip(identity.variables, assignment))
+            return CheckResult(False, counterexample, regs[lhs], regs[rhs])
     return CheckResult(holds=True)
 
 

@@ -27,9 +27,10 @@ A unit does not walk every square of its row.  The satisfiers come from
 a search in the style of the finite-model builders Mace4 and SEM: as
 each cell of the square is filled, every instance of the identity whose
 products have all become defined is checked, and a failing one rejects
-the value.  Each instance waits on a watch list for the first empty cell
-it reads, so a filled cell wakes only the instances that read it, and it
-resumes from the products it had already computed.  An instance that
+the value.  Each instance runs the program of identities.compile_identity,
+as check_identity does, and waits on a watch list for the first empty
+cell it reads, so a filled cell wakes only the instances that read it,
+and it resumes from the products it had already computed.  An instance that
 lacks only one product, with operands known, forces that cell's value:
 the search pins the cell to it and skips every other value there.  The
 search prunes with the identity only, never with loopness, and each
@@ -59,10 +60,9 @@ from multiprocessing import Pool
 
 from .cayley import FiniteQuasigroup, format_table_text
 from .identities import (
-    Multiply,
-    Variable,
     builtin_identity,
     check_identity,
+    compile_identity,
     parse_identity,
     pretty,
 )
@@ -179,49 +179,27 @@ def conjugate(square, sigma) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _straight_line(identity):
-    """Both sides of identity as one straight-line program of products.
-
-    Registers 0..k-1 hold the k variables, and product i writes register
-    k + i from two earlier registers.  Returns the (left, right) register
-    pairs in evaluation order and the registers of the two sides.  Divisions are
-    not defined on a partial table, so an identity with \\ or / raises
-    ValueError.
-    """
-    variables, products = identity.variables, []
-
-    def emit(term):
-        if isinstance(term, Variable):
-            return variables.index(term.name)
-        if not isinstance(term, Multiply):
-            raise ValueError(
-                f"a full scan prunes with multiplication only, not {pretty(identity)}"
-            )
-        products.append((emit(term.left), emit(term.right)))
-        return len(variables) + len(products) - 1
-
-    lhs, rhs = emit(identity.lhs), emit(identity.rhs)
-    return products, lhs, rhs
-
-
 def _cell_check(identity, n: int, allowed):
     """The cell check of the pruned search: no decided instance of identity fails.
 
-    An instance is an assignment of the identity's variables, run as the
-    straight-line program of _straight_line over its own registers.  It
-    waits on a watch list for the first empty cell its products read,
-    keeping the registers computed so far and the index of the product it
-    waits on; when that cell is filled it resumes there.  Evaluation may
-    leave the lhs's last product open, as a hole, and go on to the rhs
-    (a resume past it reads that product again); an instance with two
-    empty cells waits on the smaller.  With one side defined and the other
-    lacking only its last product, whose operands are known, that
-    product's cell is forced: the check pins it by narrowing allowed, the
-    value masks the backtracker reads as it reaches each cell, to the
-    defined side's value, and the instance is settled.  A value is
-    rejected when an instance's sides differ, or when a pin's value is
-    already gone from the cell's mask or sits in a filled cell of its row
-    or column.
+    It is the search's evaluator of the straight-line program of
+    identities.compile_identity, which check_identity also runs, in full,
+    on every square the search emits.  Divisions are not defined on a
+    partial table, so an identity with \\ or / raises ValueError.  An
+    instance is an assignment of the identity's variables, run as the
+    program over its own registers.  It waits on a watch list for the
+    first empty cell its products read, keeping the registers computed so
+    far and the index of the product it waits on; when that cell is
+    filled it resumes there.  Evaluation may leave the lhs's last product
+    open, as a hole, and go on to the rhs (a resume past it reads that
+    product again); an instance with two empty cells waits on the
+    smaller.  With one side defined and the other lacking only its last
+    product, whose operands are known, that product's cell is forced: the
+    check pins it by narrowing allowed, the value masks the backtracker
+    reads as it reaches each cell, to the defined side's value, and the
+    instance is settled.  A value is rejected when an instance's sides
+    differ, or when a pin's value is already gone from the cell's mask or
+    sits in a filled cell of its row or column.
 
     Cells fill in row-major order, so an instance only ever moves to a
     later cell, and the check is called at pos only once every later cell
@@ -233,7 +211,10 @@ def _cell_check(identity, n: int, allowed):
     backtracker takes a given first row as it is, so its cells are checked
     against their masks here.
     """
-    products, lhs, rhs = _straight_line(identity)
+    program, lhs, rhs = compile_identity(identity)
+    if any(op for op, _, _ in program):
+        raise ValueError(f"a full scan prunes with multiplication only, not {pretty(identity)}")
+    products = [(a, b) for _, a, b in program]  # the (left, right) registers
     k, count = len(identity.variables), len(products)
     last = lhs - k  # the lhs's last product; negative if the lhs is a variable
     size = n * n
@@ -363,11 +344,11 @@ def _load_checkpoint(path: str | None, header: dict, row_total: int) -> dict:
     """The completed entries, one per first row, of a checkpoint for this scan.
 
     A checkpoint of another scan is ignored; a malformed one raises
-    ValueError naming the file.  Every entry needs counts that are
-    non-negative ints, a total of row_total, and a list of order x order
-    counterexample tables with entries in range, and in a loop entry n1 is
-    n1_loop plus the counterexamples, so the merge and the dump never see
-    a bad value.
+    ValueError naming the file.  Every key must be a first row of the
+    order, and every entry needs counts that are non-negative ints, a total
+    of row_total, and a list of order x order counterexample tables with
+    entries in range, and in a loop entry n1 is n1_loop plus the
+    counterexamples, so the merge and the dump never see a bad value.
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -386,6 +367,8 @@ def _load_checkpoint(path: str | None, header: dict, row_total: int) -> dict:
             f"checkpoint {path}: every completed entry needs a total and counterexamples"
         )
     n = header["order"]
+    if not completed.keys() <= {_row_key(row) for row in first_rows(n)}:
+        raise ValueError(f"checkpoint {path}: every key must be a first row of order {n}")
     loop = header["kind"] == "kunen"
     for entry in completed.values():
         if not all(_is_int(v) and v >= 0 for k, v in entry.items() if k != "counterexamples"):

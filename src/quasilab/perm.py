@@ -64,9 +64,10 @@ def orbits(gens, degree: int) -> list[tuple[int, ...]]:
     """Orbit partition of range(degree) under raw image tuples.
 
     Each orbit is a sorted tuple, and orbits come ordered by their largest
-    point: the order of the free columns of the difference system
-    mu[i] - mu[g(i)] = 0, whose solutions are the functions constant on
-    orbits.
+    point.  Only the tests rely on that order: tests/test_measures.py
+    compares the orbit indicators, in order, with the free columns of the
+    difference system mu[i] - mu[g(i)] = 0, whose solutions are the
+    functions constant on orbits.
     """
     seen = [False] * degree
     parts = []

@@ -447,17 +447,24 @@ def test_kunen_scan_malformed_checkpoint_is_a_usage_error(tmp_path, capsys):
 def test_kunen_scan_tampered_checkpoint_is_a_usage_error(tmp_path, capsys):
     """Counts that disagree with the order or with each other are refused.
 
-    A satisfier count of 999 would fail the property (exit 1), and a row
-    total of 5 would report 557 squares; both files exit 2 and dump nothing.
+    A satisfier count of 999 would fail the property (exit 1), a row total
+    of 5 would report 557 squares, and a key that is no first row of the
+    order would be written back at every rewrite; all three files exit 2
+    and dump nothing.
     """
     path = tmp_path / "scan4.json"
     kunen_scan(4, checkpoint=str(path))
     doc = json.loads(path.read_text())
-    assert doc["completed"]["0,1,2,3"]["n1"] == 4
-    tampered = {"n1": {"n1": 999}, "total": {"total": 5}}
+    entry = doc["completed"]["0,1,2,3"]
+    assert entry["n1"] == 4
+    tampered = {
+        "n1": {"0,1,2,3": {**entry, "n1": 999}},
+        "total": {"0,1,2,3": {**entry, "total": 5}},
+        "key": {"7,7,7,7": entry},
+    }
     for name, change in tampered.items():
         bad = json.loads(json.dumps(doc))
-        bad["completed"]["0,1,2,3"].update(change)
+        bad["completed"].update(change)
         path.write_text(json.dumps(bad))
         dumps = tmp_path / f"dumps_{name}"
         argv = ["kunen-scan", "--order", "4", "--checkpoint", str(path),

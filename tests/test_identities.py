@@ -1,8 +1,14 @@
 """Identity parsing, term evaluation, and the two routes to (N1)."""
 
+import ast
+import itertools
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+import quasilab
 
 from quasilab.cayley import (
     FiniteQuasigroup,
@@ -14,15 +20,19 @@ from quasilab import identities
 from quasilab.identities import (
     N1_TEXT,
     EmptySide,
+    CheckResult,
     Identity,
+    LeftDivide,
     Multiply,
     ParseError,
+    RightDivide,
     UnknownIdentityError,
     Variable,
     VariableLimitExceeded,
     builtin_identities,
     builtin_identity,
     check_identity,
+    compile_identity,
     n1_equivalence_report,
     parse_identity,
     pretty,
@@ -33,15 +43,46 @@ from quasilab.latin import enumerate_latin_squares, sample_latin_squares
 def evaluate_term(q: FiniteQuasigroup, term, assignment: dict) -> int:
     """Evaluate one term under a {name: element} assignment.
 
-    Runs the compiled code that check_identity runs, so the tests below
-    pin its division orientation one term at a time.
+    Runs the program that compile_identity makes for check_identity, so
+    the tests below pin its division orientation one term at a time.
     """
     names = []
     identities._collect_variables(term, names)
-    code = identities._compile(term, tuple(names))
-    left_div, right_div = q._division_tables()
-    values = tuple(assignment[name] for name in names)
-    return identities._evaluate(code, values, q.table, left_div, right_div)
+    program, register, _ = compile_identity(Identity(term, term, tuple(names)))
+    tables = (q.table, *q._division_tables())
+    registers = [assignment[name] for name in names]
+    for op, a, b in program:
+        registers.append(tables[op][registers[a]][registers[b]])
+    return registers[register]
+
+
+def walk_term(q: FiniteQuasigroup, term, env: dict) -> int:
+    """The value of term under env, by recursion over the tree.
+
+    Apart from the compiled program: each division is solved by search
+    over the table, a\\b as the x with a*x = b and a/b as the y with y*b = a.
+    """
+    if isinstance(term, Variable):
+        return env[term.name]
+    a, b = walk_term(q, term.left, env), walk_term(q, term.right, env)
+    if isinstance(term, Multiply):
+        return q.multiply(a, b)
+    if isinstance(term, LeftDivide):
+        (x,) = [x for x in range(q.order) if q.multiply(a, x) == b]
+        return x
+    assert isinstance(term, RightDivide)
+    (y,) = [y for y in range(q.order) if q.multiply(y, b) == a]
+    return y
+
+
+def walk_identity(q: FiniteQuasigroup, identity: Identity) -> CheckResult:
+    """check_identity's answer, from the first failing assignment the tree walker finds."""
+    for assignment in itertools.product(range(q.order), repeat=len(identity.variables)):
+        env = dict(zip(identity.variables, assignment))
+        lhs, rhs = walk_term(q, identity.lhs, env), walk_term(q, identity.rhs, env)
+        if lhs != rhs:
+            return CheckResult(holds=False, counterexample=env, lhs_value=lhs, rhs_value=rhs)
+    return CheckResult(holds=True)
 
 
 def test_parse_simple_identity():
@@ -158,6 +199,51 @@ def test_division_laws_hold_on_every_quasigroup():
             assert check_identity(q, parse_identity(text)).holds
 
 
+def test_the_program_lists_the_lhs_steps_first():
+    program, lhs, rhs = compile_identity(parse_identity("((x*y)\\z) = (x/(y*z))"))
+    # registers 0-2 hold x, y, z; steps write 3, 4, ...
+    assert program == [(0, 0, 1), (1, 3, 2), (0, 1, 2), (2, 0, 5)]
+    assert (lhs, rhs) == (4, 6)
+    assert compile_identity(parse_identity("x = (y*x)")) == ([(0, 1, 0)], 0, 2)
+
+
+def _all_squares(n) -> list:
+    squares = []
+    enumerate_latin_squares(n, squares.append)
+    return squares
+
+
+# every square of order <= 3, and seeded samples of orders 4 and 5
+_ORACLE_QUASIGROUPS = [
+    FiniteQuasigroup(tuple(square))
+    for square in _all_squares(1) + _all_squares(2) + _all_squares(3)
+    + sample_latin_squares(4, 3, seed=4) + sample_latin_squares(5, 3, seed=5)
+]
+
+
+@st.composite
+def mixed_identities(draw):
+    """An identity in 1-3 variables with *, \\ and /, each side of depth <= 3."""
+    names = "xyz"[: draw(st.integers(1, 3))]
+
+    def term(depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(names))
+        op = draw(st.sampled_from(["*", "\\", "/"]))
+        return f"({term(depth - 1)}{op}{term(depth - 1)})"
+
+    return parse_identity(f"{term(3)} = {term(3)}")
+
+
+@given(mixed_identities())
+@example(parse_identity(DIVISION_LAWS[0]))
+@example(parse_identity("((x\\y)/z) = (z*(y/x))"))
+@example(parse_identity("(x/y) = (y\\x)"))
+def test_check_identity_matches_the_tree_walker(identity):
+    for q in _ORACLE_QUASIGROUPS:
+        assert check_identity(q, identity) == walk_identity(q, identity), q.table
+
+
 def test_n1_holds_on_cyclic_groups():
     for n in (1, 2, 3, 4, 5, 7):
         result = check_identity(cyclic_group(n), builtin_identity("N1"))
@@ -262,3 +348,58 @@ def test_trivial_identity_always_holds():
     for square in sample_latin_squares(4, 5, seed=9):
         q = FiniteQuasigroup(square)
         assert check_identity(q, parse_identity("x = x")).holds
+
+
+TERM_NODES = {"Variable", "Multiply", "LeftDivide", "RightDivide"}
+
+
+def _term_node_imports(tree: ast.AST) -> list[str]:
+    """Where a module takes a term node class from identities."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "identities":
+                found += [
+                    f"line {node.lineno}: import {alias.name}"
+                    for alias in node.names
+                    if alias.name in TERM_NODES
+                ]
+            else:
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "identities"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.split(".")[-1] == "identities"}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in TERM_NODES
+            and ast.unparse(node.value) in modules
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_rules_catch_term_node_imports():
+    source = (
+        "from .identities import Multiply, pretty\n"
+        "from quasilab.identities import Variable as V\n"
+        "from . import identities as ids\n"
+        "import quasilab.identities\n"
+        "x = ids.LeftDivide, quasilab.identities.RightDivide, ids.pretty\n"
+    )
+    assert _term_node_imports(ast.parse(source)) == [
+        "line 1: import Multiply",
+        "line 2: import Variable",
+        "line 5: ids.LeftDivide",
+        "line 5: quasilab.identities.RightDivide",
+    ]
+
+
+def test_only_identities_knows_the_term_tree():
+    """The rest of the package runs compile_identity's program instead."""
+    package = Path(quasilab.__file__).parent
+    sources = sorted(p for p in package.glob("*.py") if p.name != "identities.py")
+    assert len(sources) > 5
+    for path in sources:
+        assert _term_node_imports(ast.parse(path.read_text(), str(path))) == [], path.name
