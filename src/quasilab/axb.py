@@ -17,6 +17,14 @@ finite.  Each integral runs over the exact pullback of the support box:
 a box for the identity and left translations, a sheared box (a
 parallelogram) for right translations, so no quadrature cell straddles
 a support edge.
+
+The quadrature runs a batch of integrals, its owners, in shared waves of
+numpy calls, each owner to its own tolerance and summed in its own
+order, so every value is bit-identical to integrating that owner alone.
+integrate is a batch of one; run_verification_suite integrates its
+trials _CHUNK_TRIALS at a time.  A batch that fails raises
+ToleranceNotReached for its first still-active owner; its active cells
+together are capped at _MAX_ACTIVE_CELLS.
 """
 
 from __future__ import annotations
@@ -82,6 +90,19 @@ def modular_function(g: AffineElement) -> float:
     return 1.0 / g.a
 
 
+def _bump(a, b, ca, cb, ra, rb, k):
+    """(1 - ta^2)^k (1 - tb^2)^k clamped at 0, ta = (a - ca)/ra, tb = (b - cb)/rb.
+
+    The centres and radii may be scalars or arrays broadcast against a
+    and b; the arithmetic per point is the same either way.
+    """
+    ta = (a - ca) / ra
+    tb = (b - cb) / rb
+    pa = np.maximum(0.0, 1.0 - ta * ta) ** k
+    pb = np.maximum(0.0, 1.0 - tb * tb) ** k
+    return pa * pb
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Polynomial bump supported on [a0-ra, a0+ra] x [b0-rb, b0+rb].
@@ -98,6 +119,10 @@ class TestFunction:
     smoothness: int = 3
 
     def __post_init__(self):
+        box = (self.center_a, self.center_b, self.radius_a, self.radius_b)
+        if not all(math.isfinite(x) for x in box):
+            # a nan or infinite box refines to the cell cap before it fails
+            raise ValueError(f"centre and radii must be finite, got {box}")
         if self.radius_a <= 0 or self.radius_b <= 0:
             raise ValueError("radii must be positive")
         if self.smoothness < 1:
@@ -118,11 +143,10 @@ class TestFunction:
 
     def values(self, a, b):
         """Vectorized evaluation; accepts scalars or numpy arrays."""
-        ta = (np.asarray(a, dtype=float) - self.center_a) / self.radius_a
-        tb = (np.asarray(b, dtype=float) - self.center_b) / self.radius_b
-        pa = np.maximum(0.0, 1.0 - ta * ta) ** self.smoothness
-        pb = np.maximum(0.0, 1.0 - tb * tb) ** self.smoothness
-        return pa * pb
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return _bump(
+            a, b, self.center_a, self.center_b, self.radius_a, self.radius_b, self.smoothness
+        )
 
     def __call__(self, a, b):
         return self.values(a, b)
@@ -159,17 +183,18 @@ def numeric_jacobian(side: str, g: AffineElement, p: AffineElement, h: float = 1
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 _GL_W2 = np.outer(_GL_WEIGHTS, _GL_WEIGHTS)
 
+# active cells of a whole batch, summed over its owners
 _MAX_ACTIVE_CELLS = 200000
 
 
-def _gl_cells(func, cells: np.ndarray) -> np.ndarray:
-    """Tensor Gauss-Legendre (8x8) on each cell; cells is (m, 4)."""
+def _gl_cells(func, cells: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Tensor Gauss-Legendre (8x8) on each cell; cells is (m, 4), owner (m,)."""
     x0, x1, y0, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
     hx = (x1 - x0) / 2.0
     hy = (y1 - y0) / 2.0
     xs = (x0 + x1)[:, None] / 2.0 + hx[:, None] * _GL_NODES[None, :]
     ys = (y0 + y1)[:, None] / 2.0 + hy[:, None] * _GL_NODES[None, :]
-    vals = func(xs[:, :, None], ys[:, None, :])
+    vals = func(xs[:, :, None], ys[:, None, :], owner)
     return hx * hy * np.einsum("mij,ij->m", vals, _GL_W2)
 
 
@@ -187,44 +212,72 @@ def _subdivide(cells: np.ndarray) -> np.ndarray:
     return children.reshape(4 * m, 4)
 
 
-def _adaptive_quadrature(func, box, tol: float, max_depth: int) -> float:
-    """Adaptive tensor-GL integral of func over box, to relative tol.
+def _adaptive_quadrature(func, boxes, tol: float, max_depth: int) -> list[float]:
+    """Adaptive tensor-GL integrals over a batch of boxes, each to relative tol.
 
-    Wave-based: every active cell is compared against the sum of its
-    four children; cells meeting their area-proportional share of the
-    absolute tolerance are banked, the rest stay active one level
-    deeper.  Summation order is fixed by cell index, so results are
-    deterministic.  Raises ToleranceNotReached instead of returning a
-    silently unconverged value.
+    Box i is owner i.  func(a, b, owner) evaluates the integrand of each
+    cell's owner at that cell's nodes.  Wave-based: every active cell is
+    compared against the sum of its four children; cells meeting their
+    owner's area-proportional share of its absolute tolerance (tol times
+    the owner's first fine estimate) are banked, the rest stay active one
+    level deeper.  One wave serves every active owner at once, and an
+    owner drops out once it has no active cell.  The cells of an owner
+    stay a contiguous run in owner order, and its banked cells are summed
+    as one slice per wave, so each result is bit-identical to a batch of
+    that owner alone and deterministic.
+
+    Raises ToleranceNotReached instead of returning a silently
+    unconverged value: after max_depth, or once the whole batch holds
+    more than _MAX_ACTIVE_CELLS active cells, for the first still-active
+    owner in batch order, with that owner's depth, cells and estimate.
+    A batch of one raises exactly as the owner alone; in a larger batch
+    only the cell cap can fire at an earlier depth than the owner alone
+    would, because the other owners' cells count towards it.
     """
-    x0, x1, y0, y1 = box
-    total_area = (x1 - x0) * (y1 - y0)
-    if total_area <= 0:
+    cells = np.array(boxes, dtype=float).reshape(-1, 4)
+    n = len(cells)
+    total_area = (cells[:, 1] - cells[:, 0]) * (cells[:, 3] - cells[:, 2])
+    if (total_area <= 0).any():
         raise ValueError("empty integration box")
-    cells = np.array([[x0, x1, y0, y1]], dtype=float)
-    coarse = _gl_cells(func, cells)
-    accepted = 0.0
+    owner = np.arange(n)
+    coarse = _gl_cells(func, cells, owner)
+    accepted = [0.0] * n
     tol_abs = None
     for depth in range(max_depth + 1):
         children = _subdivide(cells)
-        child_vals = _gl_cells(func, children)
+        child_owner = np.repeat(owner, 4)
+        child_vals = _gl_cells(func, children, child_owner)
         fine = child_vals.reshape(-1, 4).sum(axis=1)
         if tol_abs is None:
-            estimate = abs(float(fine.sum()))
-            tol_abs = tol * max(estimate, 1e-300)
+            # every owner starts with one cell, so fine is its first estimate
+            tol_abs = tol * np.maximum(np.abs(fine), 1e-300)
         areas = (cells[:, 1] - cells[:, 0]) * (cells[:, 3] - cells[:, 2])
         err = np.abs(fine - coarse)
-        accept = err <= tol_abs * (areas / total_area)
-        accepted += float(fine[accept].sum())
+        accept = err <= tol_abs[owner] * (areas / total_area[owner])
+        banked = fine[accept]
+        counts = np.bincount(owner[accept], minlength=n).tolist()
+        end = 0
+        for o, count in enumerate(counts):
+            if count:
+                accepted[o] += float(banked[end:end + count].sum())
+                end += count
         keep = ~accept
         if not keep.any():
             return accepted
         child_keep = np.repeat(keep, 4)
         cells = children[child_keep]
         coarse = child_vals[child_keep]
+        owner = child_owner[child_keep]
         if len(cells) > _MAX_ACTIVE_CELLS:
-            raise ToleranceNotReached(depth, len(cells), accepted + float(fine[keep].sum()))
-    raise ToleranceNotReached(max_depth, len(cells), accepted + float(coarse.sum()))
+            break
+    # the first still-active owner's cells lead the active cells
+    first = int(owner[0])
+    own = int((owner == first).sum())
+    if len(cells) > _MAX_ACTIVE_CELLS:
+        # and its kept parents lead fine[keep]
+        estimate = accepted[first] + float(fine[keep][: own // 4].sum())
+        raise ToleranceNotReached(depth, own, estimate)
+    raise ToleranceNotReached(max_depth, own, accepted[first] + float(coarse[:own].sum()))
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -239,26 +292,42 @@ def _pulled_back_box(f: TestFunction, translate) -> tuple[float, float, float, f
     For T absent or L_g the pullback is a box, returned in the (a, b)
     coordinates of p.  For R_g it is a parallelogram, returned as the box
     of the unit-Jacobian shear (a, s) -> p = (a, s - beta a) that maps
-    onto it.
+    onto it.  g must be finite, and the box must lie in {a > 0}.
     """
     a_lo, a_hi, b_lo, b_hi = f.support
-    if translate is None:
-        return a_lo, a_hi, b_lo, b_hi
-    side, g = translate
-    alpha, beta = g.a, g.b
+    box = (a_lo, a_hi, b_lo, b_hi)
+    if translate is not None:
+        side, g = translate
+        if not (math.isfinite(g.a) and math.isfinite(g.b)):
+            # checked here, not in AffineElement: the suite's arithmetic
+            # makes thousands of elements, none of them from outside
+            raise ValueError(f"translation element must be finite, got {g}")
+        alpha, beta = g.a, g.b
+        if side == "left":
+            # L_g(p) = (alpha p.a, beta + alpha p.b): box maps to box
+            box = (a_lo / alpha, a_hi / alpha, (b_lo - beta) / alpha, (b_hi - beta) / alpha)
+        elif side == "right":
+            # R_g(p) = (alpha p.a, p.b + beta p.a) sends the sheared box onto
+            # supp f: s = p.b + beta p.a runs over [b_lo, b_hi]
+            box = (a_lo / alpha, a_hi / alpha, b_lo, b_hi)
+        else:
+            raise ValueError(f"translate side must be 'left' or 'right', got {side!r}")
+    if box[0] <= 0:
+        raise SupportOutOfDomain(f"pulled-back support reaches a = {box[0]} <= 0")
+    return box
+
+
+def _image(side, alpha, beta, a, b):
+    """T(p) at the integration point (a, b) of T's pulled-back box.
+
+    For R_g the point is (a, s) in the sheared coordinates, p = (a, s - beta a),
+    and R_g p = (alpha a, p.b + beta a).
+    """
+    if side is None:
+        return a, b
     if side == "left":
-        # L_g(p) = (alpha p.a, beta + alpha p.b): box maps to box
-        return (
-            a_lo / alpha,
-            a_hi / alpha,
-            (b_lo - beta) / alpha,
-            (b_hi - beta) / alpha,
-        )
-    if side == "right":
-        # R_g(p) = (alpha p.a, p.b + beta p.a) sends the sheared box onto
-        # supp f: s = p.b + beta p.a runs over [b_lo, b_hi]
-        return a_lo / alpha, a_hi / alpha, b_lo, b_hi
-    raise ValueError(f"translate side must be 'left' or 'right', got {side!r}")
+        return alpha * a, beta + alpha * b
+    return alpha * a, (b - beta * a) + beta * a
 
 
 def integrate(
@@ -274,27 +343,55 @@ def integrate(
     L_g, and a parallelogram for R_g, integrated in the sheared
     coordinates (a, s) with p = (a, s - beta a); the shear has Jacobian 1,
     so the integrand is still f(R_g p) / a^2.  The pullback must lie in
-    {a > 0}.  tol is relative and must be finite and above 0.
+    {a > 0}, and g must be finite.  tol is relative and must be finite
+    and above 0.  This is a quadrature batch of one; f is evaluated
+    through f.values.
     """
     _require_finite_positive("tol", tol)
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     box = _pulled_back_box(f, translate)
-    if box[0] <= 0:
-        raise SupportOutOfDomain(
-            f"pulled-back support reaches a = {box[0]} <= 0"
-        )
-    if translate is None:
-        func = lambda a, b: f.values(a, b) / (a * a)
-    else:
-        side, g = translate
-        alpha, beta = g.a, g.b
-        if side == "left":
-            func = lambda a, b: f.values(alpha * a, beta + alpha * b) / (a * a)
-        else:
-            # p = (a, s - beta a) on the sheared box; R_g p = (alpha a, p.b + beta a)
-            func = lambda a, s: f.values(alpha * a, (s - beta * a) + beta * a) / (a * a)
-    return _adaptive_quadrature(func, box, tol, max_depth)
+    side, g = translate or (None, IDENTITY)
+
+    def func(a, b, owner):
+        return f.values(*_image(side, g.a, g.b, a, b)) / (a * a)
+
+    return _adaptive_quadrature(func, [box], tol, max_depth)[0]
+
+
+# trials integrated per quadrature batch: large enough to amortise numpy's
+# per-call cost, small enough that the suite's memory does not grow with
+# its trial count
+_CHUNK_TRIALS = 64
+_SIDES = (None, "left", "right")
+
+
+def _integrate_batch(items, tol: float, max_depth: int) -> list[float]:
+    """integrate(f, translate, tol, max_depth) of each (f, translate) in one batch.
+
+    The integrand calls _bump with per-cell parameters instead of f.values,
+    so every value is bit-identical to the integrate call.  The bumps must
+    share one smoothness.
+    """
+    (k,) = {f.smoothness for f, _ in items}  # a scalar power, as in f.values
+    boxes = [_pulled_back_box(f, translate) for f, translate in items]
+    owners = [(f, *(translate or (None, IDENTITY))) for f, translate in items]
+    sides = np.array([_SIDES.index(side) for _, side, _ in owners])
+    params = np.array([
+        (f.center_a, f.center_b, f.radius_a, f.radius_b, g.a, g.b) for f, _, g in owners
+    ])
+
+    def func(a, b, owner):
+        out = np.empty((len(owner), a.shape[1], b.shape[2]))
+        side = sides[owner]
+        for code, name in enumerate(_SIDES):
+            sel = side == code
+            ca, cb, ra, rb, alpha, beta = params[owner[sel]].T[:, :, None, None]
+            x, y = a[sel], b[sel]
+            out[sel] = _bump(*_image(name, alpha, beta, x, y), ca, cb, ra, rb, k) / (x * x)
+        return out
+
+    return _adaptive_quadrature(func, boxes, tol, max_depth)
 
 
 def _rel_err(x: float, y: float) -> float:
@@ -382,28 +479,32 @@ def run_verification_suite(
     max_left_inv = 0.0
     max_right_scale = 0.0
     max_delta_consistency = 0.0
-    for _ in range(trials):
-        f = TestFunction(
-            center_a=rng.uniform(1.0, 5.0),
-            center_b=rng.uniform(-3.0, 3.0),
-            radius_a=rng.uniform(0.2, 0.5),
-            radius_b=rng.uniform(0.5, 1.5),
-            smoothness=3,
-        )
-        g = AffineElement(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
-        baseline = integrate(f, None, tol=quad_tol)
-        left = integrate(f, ("left", g), tol=quad_tol)
-        right = integrate(f, ("right", g), tol=quad_tol)
-        max_left_inv = max(max_left_inv, _rel_err(left, baseline))
-        factor = right / baseline
-        max_right_scale = max(max_right_scale, _rel_err(factor, g.a))
-        # Delta(g^-1) = |det Ad(g)|, Ad(g) the Jacobian of p -> g p g^-1 at
-        # the identity: by the chain rule, R_(g^-1) at e and then L_g at g^-1
-        g_inv = affine_inv(g)
-        det_ad = numeric_jacobian("left", g, g_inv, jacobian_step) * numeric_jacobian(
-            "right", g_inv, IDENTITY, jacobian_step
-        )
-        max_delta_consistency = max(max_delta_consistency, _rel_err(factor, abs(det_ad)))
+    for first in range(0, trials, _CHUNK_TRIALS):
+        chunk = []
+        for _ in range(min(_CHUNK_TRIALS, trials - first)):
+            f = TestFunction(
+                center_a=rng.uniform(1.0, 5.0),
+                center_b=rng.uniform(-3.0, 3.0),
+                radius_a=rng.uniform(0.2, 0.5),
+                radius_b=rng.uniform(0.5, 1.5),
+                smoothness=3,
+            )
+            g = AffineElement(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
+            chunk.append((f, g))
+        items = [(f, t) for f, g in chunk for t in (None, ("left", g), ("right", g))]
+        values = _integrate_batch(items, quad_tol, max_depth=30)
+        for i, (f, g) in enumerate(chunk):
+            baseline, left, right = values[3 * i : 3 * i + 3]
+            max_left_inv = max(max_left_inv, _rel_err(left, baseline))
+            factor = right / baseline
+            max_right_scale = max(max_right_scale, _rel_err(factor, g.a))
+            # Delta(g^-1) = |det Ad(g)|, Ad(g) the Jacobian of p -> g p g^-1 at
+            # the identity: by the chain rule, R_(g^-1) at e and then L_g at g^-1
+            g_inv = affine_inv(g)
+            det_ad = numeric_jacobian("left", g, g_inv, jacobian_step) * numeric_jacobian(
+                "right", g_inv, IDENTITY, jacobian_step
+            )
+            max_delta_consistency = max(max_delta_consistency, _rel_err(factor, abs(det_ad)))
 
     elapsed = time.perf_counter() - start
     arithmetic_tol = 1e-12

@@ -7,6 +7,8 @@ the logarithm and the final sum in 60-digit Decimal.
 """
 
 import math
+import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -76,6 +78,28 @@ def test_bump_validation():
         TestFunction(2.0, 0.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         TestFunction(2.0, 0.0, 0.5, 0.5, smoothness=0)
+
+
+@pytest.mark.parametrize("box", [
+    (2.0, 0.0, math.nan, 1.0),
+    (2.0, math.inf, 0.3, 1.0),
+    (math.nan, 0.0, 0.5, 0.5),
+    (math.inf, 0.0, 0.5, 0.5),
+    (2.0, 0.0, 0.5, math.inf),
+])
+def test_bump_refuses_a_non_finite_box(box):
+    # each was accepted, and integrating it refined to the cell cap
+    # (262,144 cells) before ToleranceNotReached with a nan estimate
+    with pytest.raises(ValueError, match="finite"):
+        TestFunction(*box)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("element", [(1.0, math.nan), (1.0, -math.inf), (math.inf, 0.0)])
+def test_integrate_refuses_a_non_finite_translation(side, element):
+    # AffineElement refuses a nan scale itself, but not these
+    with pytest.raises(ValueError, match="finite"):
+        integrate(TestFunction(2.0, 0.0, 0.5, 0.5), (side, AffineElement(*element)))
 
 
 def test_jacobians_match_the_exact_determinants():
@@ -313,3 +337,171 @@ def test_modular_consistency_fails_apart_from_right_scaling(monkeypatch):
     assert "right_scaling" not in report["failures"]
     assert "left_invariance" not in report["failures"]
     assert report["max_errors"]["right_scaling"] == errors["right_scaling"]
+
+
+# ---------------------------------------------------------------------------
+# The batched quadrature: run_verification_suite integrates a chunk of
+# trials per batch, and each value must be the one integrate gives alone.
+
+CHUNK = axb._CHUNK_TRIALS
+
+
+def _sequential_suite(trials, seed, arithmetic_pairs, jacobian_points, quad_tol=1e-8, step=1e-4):
+    """The integral checks of run_verification_suite, one integrate call at a time."""
+    rng = random.Random(seed)
+    # each arithmetic pair draws three elements, each Jacobian point two
+    for _ in range(6 * arithmetic_pairs + 4 * jacobian_points):
+        rng.random()
+
+    def rel(x, y):
+        return abs(x - y) / max(abs(x), abs(y), 1e-300)
+
+    left_inv = right_scale = consistency = 0.0
+    for _ in range(trials):
+        f = TestFunction(
+            rng.uniform(1.0, 5.0), rng.uniform(-3.0, 3.0),
+            rng.uniform(0.2, 0.5), rng.uniform(0.5, 1.5), smoothness=3,
+        )
+        g = AffineElement(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
+        baseline = integrate(f, None, tol=quad_tol)
+        left = integrate(f, ("left", g), tol=quad_tol)
+        right = integrate(f, ("right", g), tol=quad_tol)
+        left_inv = max(left_inv, rel(left, baseline))
+        factor = right / baseline
+        right_scale = max(right_scale, rel(factor, g.a))
+        g_inv = affine_inv(g)
+        det_ad = numeric_jacobian("left", g, g_inv, step) * numeric_jacobian(
+            "right", g_inv, IDENTITY, step
+        )
+        consistency = max(consistency, rel(factor, abs(det_ad)))
+    return {
+        "left_invariance": left_inv.hex(),
+        "right_scaling": right_scale.hex(),
+        "modular_consistency": consistency.hex(),
+    }
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunked_suite_matches_one_integrate_call_per_trial(seed, trials):
+    report = run_verification_suite(
+        trials=trials, seed=seed, arithmetic_pairs=3, jacobian_points=2
+    )
+    got = {name: report["max_errors"][name].hex() for name in
+           ("left_invariance", "right_scaling", "modular_consistency")}
+    assert got == _sequential_suite(trials, seed, arithmetic_pairs=3, jacobian_points=2)
+
+
+def test_suite_errors_are_the_unbatched_suites_to_the_bit():
+    # max_errors of run_verification_suite(trials=400, seed=5) as the
+    # suite gave them when it integrated one trial at a time
+    unbatched = {
+        "associativity": "0x1.ace5237928475p-52",
+        "inverse_law": "0x1.1fbf2a437c9a6p-50",
+        "modular_multiplicativity": "0x1.ce65eae4136e9p-52",
+        "jacobian_left": "0x1.606fc7b517908p-37",
+        "jacobian_right": "0x1.537cb8f2489dfp-37",
+        "left_invariance": "0x1.1c49a8da9fc48p-47",
+        "right_scaling": "0x1.3c1c211de141bp-47",
+        "modular_consistency": "0x1.acefb3afbb7ccp-38",
+    }
+    report = run_verification_suite(trials=400, seed=5)
+    assert {k: v.hex() for k, v in report["max_errors"].items()} == unbatched
+    assert report["failures"] == []
+
+
+G = AffineElement(1.7, -1.9)
+# converge at tol 1e-8 by depth 1
+EASY = [
+    (TestFunction(2.0, 0.0, 0.4, 0.6), None),
+    (TestFunction(1.2, 2.5, 0.5, 1.5), ("right", G)),
+    (TestFunction(3.9, -1.0, 0.27, 0.93), ("left", G)),
+]
+# supports reaching down to a = 1e-4 and 1e-2, where 1/a^2 needs depth 7+ and 6
+HARD = (TestFunction(0.5, 0.0, 0.4999, 0.5), None)
+HARDISH = (TestFunction(0.5, 0.0, 0.49, 0.5), ("left", AffineElement(1.0, 0.5)))
+
+
+def _alone_raises(item, tol, max_depth):
+    with pytest.raises(ToleranceNotReached) as info:
+        integrate(*item, tol=tol, max_depth=max_depth)
+    error = info.value
+    return error.depth, error.active_cells, error.estimate.hex()
+
+
+def _batch_raises(items, tol, max_depth):
+    with pytest.raises(ToleranceNotReached) as info:
+        axb._integrate_batch(items, tol, max_depth)
+    error = info.value
+    return error.depth, error.active_cells, error.estimate.hex()
+
+
+# converge at tol 1e-8 by depth 6
+DEEP = [
+    (TestFunction(0.5, 0.0, 0.45, 0.5), None),
+    (TestFunction(0.5, 0.0, 0.49, 0.5), ("right", G)),
+    HARDISH,
+]
+
+
+@pytest.mark.parametrize("items, max_depth", [(EASY, 1), (EASY + DEEP, 30)])
+def test_batch_values_are_the_integrate_values(items, max_depth):
+    got = axb._integrate_batch(items, 1e-8, max_depth)
+    assert [v.hex() for v in got] == [integrate(*item, max_depth=max_depth).hex() for item in items]
+
+
+def test_batch_raises_what_its_failing_owner_raises_alone():
+    expected = _alone_raises(HARD, 1e-8, 1)
+    assert _batch_raises(EASY[:1] + [HARD] + EASY[1:], 1e-8, 1) == expected
+
+
+def test_batch_raises_for_its_first_failing_owner():
+    # both fail at depth 2; the one earlier in the batch is named
+    first, second = _alone_raises(HARDISH, 1e-8, 2), _alone_raises(HARD, 1e-8, 2)
+    assert first != second
+    assert _batch_raises([EASY[0], HARDISH, EASY[1], HARD], 1e-8, 2) == first
+    assert _batch_raises([HARD, EASY[2], HARDISH], 1e-8, 2) == second
+
+
+def test_cell_cap_counts_the_whole_batch(monkeypatch):
+    # alone, HARD passes 20 active cells at depth 3 (32 cells); beside
+    # HARDISH the batch passes 20 at depth 2 (16 + 16), and the error
+    # names HARD, the first active owner, with its own 16 cells and its
+    # estimate at depth 2
+    _, _, at_depth_2 = _alone_raises(HARD, 1e-8, 2)
+    monkeypatch.setattr(axb, "_MAX_ACTIVE_CELLS", 20)
+    depth, cells, _ = _alone_raises(HARD, 1e-8, 30)
+    assert (depth, cells) == (3, 32)
+    depth, cells, estimate = _batch_raises([HARD, HARDISH], 1e-8, 30)
+    assert (depth, cells) == (2, 16)
+    assert float.fromhex(estimate) == pytest.approx(float.fromhex(at_depth_2), rel=1e-12)
+
+
+@pytest.mark.parametrize("bump, translate, points, value", [
+    ((2.0, 0.0, 0.4, 0.6), None, 320, "0x1.a0735f5a594e0p-5"),
+    ((1.2, 2.5, 0.5, 1.5), ("left", AffineElement(0.6, 2.0)), 1344, "0x1.d9df2aa62d760p-2"),
+    ((0.5, 0.0, 0.45, 0.5), None, 11584, "0x1.1943dbe125552p+0"),
+    ((0.5, 0.0, 0.49, 0.5), ("right", AffineElement(1.7, -1.9)), 50496, "0x1.28e65c920a371p+1"),
+    ((0.8, 0.0, 0.76, 1.5), None, 23872, "0x1.2bc6fd3842f79p+1"),
+])
+def test_integrate_gives_the_unbatched_points_and_values(bump, translate, points, value):
+    # what the one-integral quadrature gave; the benchmark's per-integral
+    # point probe compares against these counts.  The last three bank many
+    # cells in one wave, where summing them by np.add.reduceat (all three)
+    # or np.bincount (the last) parts from .sum() in the last bit
+    f = CountingBump(*bump)
+    assert integrate(f, translate).hex() == value
+    assert f.points == points
+
+
+def test_suite_memory_does_not_grow_with_its_trials():
+    # the suite integrates chunk by chunk, so ten chunks peak where one does
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_verification_suite(trials=trials, seed=1, arithmetic_pairs=0, jacobian_points=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10 * CHUNK) <= 1.2 * peak(CHUNK)
