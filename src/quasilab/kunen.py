@@ -8,9 +8,10 @@ satisfies the identity without being a loop would be a counterexample
 and is dumped in full as a Cayley table text file (this is expected to
 never happen).
 
-Both the loop scan and the modular (measure) scan run through one
-driver and one tally; the modular one keeps only the satisfier count,
-since the measures are settled by theorem.  A sample scan tallies its
+Both the loop scan and the modular (measure) scan run through one entry
+path, one driver and one tally, and their reports share one set of
+fields; the modular one keeps only the satisfier count, since the
+measures are settled by theorem.  A sample scan tallies its
 squares directly.  Full scans partition the enumeration tree by first
 row.  A relabelling sigma with sigma(0) = 0 maps the squares with first
 row r bijectively onto those with first row sigma o r o sigma^-1, by
@@ -43,8 +44,7 @@ loops with identity e one to one onto those with identity 0, the reduced
 squares (first row and column in order), of which there are R(n) =
 L(n) / (n! (n - 1)!) (McKay and Wanless, "On the number of Latin
 squares", 2005).  So there are n R(n) loops, n times the row total over
-(n - 1)!.  The full order-6 scan takes about 0.25 s serially, where a
-walk over every square took 12 minutes with two processes.
+(n - 1)!.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
-from .cayley import FiniteQuasigroup, format_table_text
+from .cayley import CayleyError, FiniteQuasigroup, format_table_text, validate_cayley
 from .identities import (
     builtin_identity,
     check_identity,
@@ -78,52 +78,49 @@ from .latin import (
 FULL_SCAN_DEFAULT_LIMIT = 5
 
 
-@dataclass(frozen=True)
-class ScanReport:
+SAMPLING_NOTE = (
+    "samples are reproducible per seed but not uniformly distributed over Latin squares"
+)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _ScanFields:
+    """The fields both scan reports share; each kind adds its own tallies."""
+
     order: int
     mode: str
     total_squares: int
     n1_count: int
+    identity_name: str
+    jobs: int
+    sample_size: int | None
+    seed: int | None
+    elapsed: float
+
+    def to_dict(self) -> dict:
+        note = SAMPLING_NOTE if self.mode == "sample" else None
+        return {"kind": self.KIND, **asdict(self), "sampling_note": note}
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScanReport(_ScanFields):
+    KIND = "kunen-scan"
     n1_loop_count: int
     loop_count: int
     loops_failing_n1: int
-    elapsed: float
-    identity_name: str
     kunen_holds: bool
     counterexample_files: tuple[str, ...] = ()
-    sample_size: int | None = None
-    seed: int | None = None
-    jobs: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "kunen-scan",
-            **asdict(self),
-            "counterexample_files": list(self.counterexample_files),
-            "sampling_note": (
-                "samples are reproducible per seed but not uniformly "
-                "distributed over Latin squares"
-                if self.mode == "sample"
-                else None
-            ),
-        }
+        return {**super().to_dict(), "counterexample_files": list(self.counterexample_files)}
 
 
-@dataclass(frozen=True)
-class ModularScanReport:
-    order: int
-    mode: str
-    total_squares: int
-    n1_count: int
+@dataclass(frozen=True, kw_only=True)
+class ModularScanReport(_ScanFields):
+    KIND = "modular-scan"
     trivial_cocycle_count: int
     all_trivial: bool
     dimension_one_count: int
-    elapsed: float
-    sample_size: int | None = None
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {"kind": "modular-scan", **asdict(self)}
 
 
 def _tally(identity, squares) -> tuple[Counter, list]:
@@ -327,28 +324,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_table(square, n: int) -> bool:
-    return (
-        isinstance(square, list)
-        and len(square) == n
-        and all(
-            isinstance(row, list)
-            and len(row) == n
-            and all(_is_int(v) and 0 <= v < n for v in row)
-            for row in square
-        )
-    )
-
-
-def _load_checkpoint(path: str | None, header: dict, row_total: int) -> dict:
+def _load_checkpoint(path: str | None, header: dict, row_total: int, identity) -> dict:
     """The completed entries, one per first row, of a checkpoint for this scan.
 
     A checkpoint of another scan is ignored; a malformed one raises
     ValueError naming the file.  Every key must be a first row of the
-    order, and every entry needs counts that are non-negative ints, a total
-    of row_total, and a list of order x order counterexample tables with
-    entries in range, and in a loop entry n1 is n1_loop plus the
-    counterexamples, so the merge and the dump never see a bad value.
+    order, and every entry needs a total of row_total, other counts that
+    are ints from 0 to row_total, and counterexamples in strictly
+    increasing order.  Each counterexample must be a Latin square
+    (cayley.validate_cayley) with the entry's first row, and the tally
+    must keep it: it satisfies identity and is not a loop.  In a loop
+    entry n1 is n1_loop plus the counterexamples.  So the merge and the
+    dump never see a bad value, and a resumed square passes the test that
+    a searched one does.
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -367,21 +355,34 @@ def _load_checkpoint(path: str | None, header: dict, row_total: int) -> dict:
             f"checkpoint {path}: every completed entry needs a total and counterexamples"
         )
     n = header["order"]
-    if not completed.keys() <= {_row_key(row) for row in first_rows(n)}:
+    rows = {_row_key(row): row for row in first_rows(n)}
+    if not completed.keys() <= rows.keys():
         raise ValueError(f"checkpoint {path}: every key must be a first row of order {n}")
     loop = header["kind"] == "kunen"
-    for entry in completed.values():
-        if not all(_is_int(v) and v >= 0 for k, v in entry.items() if k != "counterexamples"):
-            raise ValueError(f"checkpoint {path}: every count must be a non-negative integer")
-        squares = entry["counterexamples"]
-        if not isinstance(squares, list) or not all(_is_table(sq, n) for sq in squares):
-            raise ValueError(
-                f"checkpoint {path}: counterexamples must be {n}x{n} tables of 0..{n - 1}"
-            )
+    for key, entry in completed.items():
+        counts = [v for k, v in entry.items() if k != "counterexamples"]
+        if not all(_is_int(v) and 0 <= v <= row_total for v in counts):
+            raise ValueError(f"checkpoint {path}: every count must be an int in 0..{row_total}")
         if entry["total"] != row_total:
             raise ValueError(f"checkpoint {path}: every first row has {row_total} squares")
+        squares = entry["counterexamples"]
+        if not isinstance(squares, list):
+            raise ValueError(f"checkpoint {path}: counterexamples must be a list")
         if loop and entry.get("n1", 0) != entry.get("n1_loop", 0) + len(squares):
             raise ValueError(f"checkpoint {path}: n1 must be n1_loop plus the counterexamples")
+        try:
+            tables = [validate_cayley(square).table for square in squares]
+        except (CayleyError, TypeError) as exc:
+            raise ValueError(f"checkpoint {path}: a counterexample is no Latin square: {exc}")
+        if any(table[0] != rows[key] for table in tables):
+            raise ValueError(f"checkpoint {path}: a counterexample under {key} has another row")
+        if any(a >= b for a, b in zip(tables, tables[1:])):
+            raise ValueError(f"checkpoint {path}: counterexamples must be strictly increasing")
+        if _tally(identity, tables)[1] != tables:
+            raise ValueError(
+                f"checkpoint {path}: every counterexample must satisfy "
+                f"{header['identity']} without being a loop"
+            )
     return completed
 
 
@@ -417,6 +418,7 @@ def _scan(
         raise ValueError("order must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    identity = parse_identity(identity_text)
     if mode == "sample":
         if sample_size < 1:
             raise ValueError(f"sample size must be >= 1, got {sample_size}")
@@ -426,7 +428,7 @@ def _scan(
                 "checkpoint nor more than one job"
             )
         squares = sample_latin_squares(n, sample_size, seed)
-        counts, counterexamples = _tally(parse_identity(identity_text), squares)
+        counts, counterexamples = _tally(identity, squares)
         counts["total"] = len(squares)
         return counts, counterexamples
     if mode != "full":
@@ -438,7 +440,7 @@ def _scan(
     row_total = count_latin_squares_memoized(n) // math.factorial(n)
 
     header = {"order": n, "identity": identity_text, "kind": kind}
-    completed = _load_checkpoint(checkpoint, header, row_total)
+    completed = _load_checkpoint(checkpoint, header, row_total, identity)
     pending = [
         (kind, identity_text, n, orbit, row_total)
         for orbit in first_row_orbits(n)
@@ -452,8 +454,9 @@ def _scan(
             if checkpoint is not None:
                 _write_checkpoint(checkpoint, header, completed)
 
-    if jobs > 1 and len(pending) > 1:  # one unit runs serially: a pool would idle
-        with Pool(processes=jobs) as pool:
+    workers = min(jobs, len(pending))
+    if workers > 1:  # one unit runs serially: a pool would idle
+        with Pool(processes=workers) as pool:
             record(pool.imap_unordered(_run_unit, pending))
     else:
         record(map(_run_unit, pending))
@@ -487,6 +490,55 @@ def _dump_counterexamples(squares, order: int, directory: str | None, identity_n
     return paths
 
 
+def _scan_report(
+    kind: str,
+    n: int,
+    mode: str,
+    sample_size: int,
+    seed: int,
+    allow_n6: bool,
+    identity_name: str,
+    jobs: int,
+    checkpoint: str | None,
+    counterexample_dir: str | None = None,
+):
+    """Run a scan of the kind and build its report; a loop scan dumps its counterexamples."""
+    start = time.perf_counter()
+    identity_text = pretty(builtin_identity(identity_name))
+    counts, counterexamples = _scan(
+        n, kind, mode, sample_size, seed, allow_n6, identity_text, jobs, checkpoint
+    )
+    sampled = mode == "sample"
+    fields = dict(
+        order=n,
+        mode=mode,
+        total_squares=counts["total"],
+        n1_count=counts["n1"],
+        identity_name=identity_name,
+        jobs=jobs,
+        sample_size=sample_size if sampled else None,
+        seed=seed if sampled else None,
+    )
+    if kind == "modular":
+        report = ModularScanReport
+        fields.update(
+            trivial_cocycle_count=counts["n1"], all_trivial=True, dimension_one_count=counts["n1"]
+        )
+    else:
+        report = ScanReport
+        fields.update(
+            n1_loop_count=counts["n1_loop"],
+            loop_count=counts["loop"],
+            loops_failing_n1=counts["loop"] - counts["n1_loop"],
+            kunen_holds=counts["n1"] == counts["n1_loop"] and not counterexamples,
+        )
+        if counterexamples:
+            fields["counterexample_files"] = tuple(
+                _dump_counterexamples(counterexamples, n, counterexample_dir, identity_name)
+            )
+    return report(**fields, elapsed=time.perf_counter() - start)
+
+
 def kunen_scan(
     n: int,
     mode: str = "full",
@@ -507,32 +559,9 @@ def kunen_scan(
     catalog, so the scan can be repeated with e.g. the classical left
     Moufang identity.
     """
-    start = time.perf_counter()
-    identity_text = pretty(builtin_identity(identity_name))
-    counts, counterexamples = _scan(
-        n, "kunen", mode, sample_size, seed, allow_n6, identity_text, jobs, checkpoint
-    )
-    files = ()
-    if counterexamples:
-        files = tuple(
-            _dump_counterexamples(counterexamples, n, counterexample_dir, identity_name)
-        )
-    sampled = mode == "sample"
-    return ScanReport(
-        order=n,
-        mode=mode,
-        total_squares=counts["total"],
-        n1_count=counts["n1"],
-        n1_loop_count=counts["n1_loop"],
-        loop_count=counts["loop"],
-        loops_failing_n1=counts["loop"] - counts["n1_loop"],
-        elapsed=time.perf_counter() - start,
-        identity_name=identity_name,
-        kunen_holds=counts["n1"] == counts["n1_loop"] and not counterexamples,
-        counterexample_files=files,
-        sample_size=sample_size if sampled else None,
-        seed=seed if sampled else None,
-        jobs=jobs,
+    return _scan_report(
+        "kunen", n, mode, sample_size, seed, allow_n6, identity_name, jobs, checkpoint,
+        counterexample_dir,
     )
 
 
@@ -554,21 +583,6 @@ def modular_scan(
     one counts in all three tallies.  jobs and checkpoint work as in
     kunen_scan.
     """
-    start = time.perf_counter()
-    identity_text = pretty(builtin_identity(identity_name))
-    counts, _ = _scan(
-        n, "modular", mode, sample_size, seed, allow_n6, identity_text, jobs, checkpoint
-    )
-    sampled = mode == "sample"
-    return ModularScanReport(
-        order=n,
-        mode=mode,
-        total_squares=counts["total"],
-        n1_count=counts["n1"],
-        trivial_cocycle_count=counts["n1"],
-        all_trivial=True,
-        dimension_one_count=counts["n1"],
-        elapsed=time.perf_counter() - start,
-        sample_size=sample_size if sampled else None,
-        seed=seed if sampled else None,
+    return _scan_report(
+        "modular", n, mode, sample_size, seed, allow_n6, identity_name, jobs, checkpoint
     )

@@ -25,6 +25,29 @@ _TABLE = {
     "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
 }
 
+
+def _scan_schema(kind: str, required: list[str], **properties) -> dict:
+    """A scan report's schema: the fields both scan kinds share, plus the kind's own."""
+    return {
+        "type": "object",
+        "required": ["kind", "order", "mode", "total_squares", "n1_count", *required],
+        "properties": {
+            "kind": {"const": kind},
+            "order": {"type": "integer", "minimum": 1},
+            "mode": {"enum": ["full", "sample"]},
+            "total_squares": _COUNT,
+            "n1_count": _COUNT,
+            "identity_name": {"type": "string"},
+            "jobs": {"type": "integer", "minimum": 1},
+            "sample_size": {"type": ["integer", "null"]},
+            "seed": {"type": ["integer", "null"]},
+            "elapsed": {"type": "number"},
+            "sampling_note": {"type": ["string", "null"]},
+            **properties,
+        },
+    }
+
+
 SCHEMAS: dict[str, dict] = {
     "validate": {
         "type": "object",
@@ -149,63 +172,22 @@ SCHEMAS: dict[str, dict] = {
             "elapsed": {"type": "number"},
         },
     },
-    "kunen-scan": {
-        "type": "object",
-        "required": [
-            "kind",
-            "order",
-            "mode",
-            "total_squares",
-            "n1_count",
-            "n1_loop_count",
-            "loop_count",
-            "loops_failing_n1",
-            "kunen_holds",
-        ],
-        "properties": {
-            "kind": {"const": "kunen-scan"},
-            "order": {"type": "integer", "minimum": 1},
-            "mode": {"enum": ["full", "sample"]},
-            "total_squares": _COUNT,
-            "n1_count": _COUNT,
-            "n1_loop_count": _COUNT,
-            "loop_count": _COUNT,
-            "loops_failing_n1": _COUNT,
-            "elapsed": {"type": "number"},
-            "identity_name": {"type": "string"},
-            "kunen_holds": {"type": "boolean"},
-            "counterexample_files": {"type": "array", "items": {"type": "string"}},
-            "sample_size": {"type": ["integer", "null"]},
-            "seed": {"type": ["integer", "null"]},
-            "jobs": {"type": "integer", "minimum": 1},
-            "sampling_note": {"type": ["string", "null"]},
-        },
-    },
-    "modular-scan": {
-        "type": "object",
-        "required": [
-            "kind",
-            "order",
-            "mode",
-            "total_squares",
-            "n1_count",
-            "trivial_cocycle_count",
-            "all_trivial",
-        ],
-        "properties": {
-            "kind": {"const": "modular-scan"},
-            "order": {"type": "integer", "minimum": 1},
-            "mode": {"enum": ["full", "sample"]},
-            "total_squares": _COUNT,
-            "n1_count": _COUNT,
-            "trivial_cocycle_count": _COUNT,
-            "all_trivial": {"type": "boolean"},
-            "dimension_one_count": _COUNT,
-            "elapsed": {"type": "number"},
-            "sample_size": {"type": ["integer", "null"]},
-            "seed": {"type": ["integer", "null"]},
-        },
-    },
+    "kunen-scan": _scan_schema(
+        "kunen-scan",
+        ["n1_loop_count", "loop_count", "loops_failing_n1", "kunen_holds"],
+        n1_loop_count=_COUNT,
+        loop_count=_COUNT,
+        loops_failing_n1=_COUNT,
+        kunen_holds={"type": "boolean"},
+        counterexample_files={"type": "array", "items": {"type": "string"}},
+    ),
+    "modular-scan": _scan_schema(
+        "modular-scan",
+        ["trivial_cocycle_count", "all_trivial"],
+        trivial_cocycle_count=_COUNT,
+        all_trivial={"type": "boolean"},
+        dimension_one_count=_COUNT,
+    ),
 }
 
 

@@ -478,6 +478,58 @@ def test_kunen_scan_tampered_checkpoint_is_a_usage_error(tmp_path, capsys):
         assert json.loads(path.read_text()) == bad  # left as it was
 
 
+Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+# the commutative non-loop with first row 0,2,1, as an order-3 scan lists it
+COMMUTATIVE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+# (name, identity, row, entry, words of the refusal): the entry replaces the
+# row's entry of a real order-3 checkpoint; each entry's counts agree
+RESUMED_FAULTS = [
+    ("not_latin", "N1", "0,1,2",
+     {"total": 2, "n1": 2, "n1_loop": 1, "counterexamples": [[[0, 0, 0]] * 3]}, "Latin"),
+    ("wrong_first_row", "commutativity", "0,1,2",
+     {"total": 2, "n1": 2, "n1_loop": 1, "counterexamples": [COMMUTATIVE]}, "another row"),
+    ("fails_identity", "N1", "0,1,2",
+     {"total": 2, "n1": 2, "n1_loop": 1,
+      "counterexamples": [[[0, 1, 2], [2, 0, 1], [1, 2, 0]]]}, "without being a loop"),
+    # JSON lists: a table of lists, not tuples, would hide Z3's identity
+    ("a_loop", "N1", "0,1,2",
+     {"total": 2, "n1": 2, "n1_loop": 1, "counterexamples": [Z3]}, "without being a loop"),
+    ("duplicate", "commutativity", "0,2,1",
+     {"total": 2, "n1": 2, "n1_loop": 0, "counterexamples": [COMMUTATIVE] * 2}, "increasing"),
+    ("above_total", "N1", "0,1,2",
+     {"total": 2, "n1": 10**30, "n1_loop": 10**30, "counterexamples": []}, "0..2"),
+]
+
+
+@pytest.mark.parametrize("modular", [False, True])
+@pytest.mark.parametrize("name, builtin, row, entry, words", RESUMED_FAULTS)
+def test_kunen_scan_refuses_a_resumed_square_the_tally_would_not_keep(
+    name, builtin, row, entry, words, modular, tmp_path, monkeypatch, capsys
+):
+    """A resumed counterexample passes the checks of a searched one, or exits 2.
+
+    The file is left as it was, and no table is dumped, not even into the
+    current directory, where a scan without --counterexample-dir dumps.
+    """
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / f"{name}.json"
+    kind = ["--modular"] if modular else []
+    argv = ["kunen-scan", "--order", "3", "--builtin", builtin, "--checkpoint", str(path)]
+    assert main(argv + kind) in (0, 1)
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["completed"][row] = {k: v for k, v in entry.items() if not (modular and k == "n1_loop")}
+    path.write_text(json.dumps(doc))
+    for table in tmp_path.rglob("*.tbl"):
+        table.unlink()
+
+    assert main(argv + kind) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and words in err, err
+    assert json.loads(path.read_text()) == doc
+    assert list(tmp_path.rglob("*.tbl")) == []
+
+
 def test_python_dash_m_runs_the_cli():
     # a fresh interpreter that finds the package where this one did
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasilab.__file__))}

@@ -62,13 +62,27 @@ def test_full_scans_orders_1_to_4():
         assert r.mode == "full"
 
 
+SHARED_FIELDS = {"kind", "order", "mode", "total_squares", "n1_count", "identity_name",
+                 "jobs", "sample_size", "seed", "elapsed", "sampling_note"}
+
+
 def test_scan_report_is_schema_valid():
-    doc = kunen_scan(3).to_dict()
-    assert validate_report(doc) == "kunen-scan"
-    assert doc["sampling_note"] is None
-    doc = kunen_scan(5, mode="sample", sample_size=25, seed=1).to_dict()
-    assert validate_report(doc) == "kunen-scan"
-    assert "not uniformly" in doc["sampling_note"]
+    """Both scan kinds report the shared fields, and each its own tallies."""
+    own = {
+        kunen_scan: {"n1_loop_count", "loop_count", "loops_failing_n1", "kunen_holds",
+                     "counterexample_files"},
+        modular_scan: {"trivial_cocycle_count", "all_trivial", "dimension_one_count"},
+    }
+    for scan, kind in ((kunen_scan, "kunen-scan"), (modular_scan, "modular-scan")):
+        doc = scan(3, identity_name="moufang_left").to_dict()
+        assert validate_report(doc) == kind
+        assert doc.keys() == SHARED_FIELDS | own[scan]
+        assert doc["sampling_note"] is None
+        assert (doc["identity_name"], doc["jobs"], doc["seed"]) == ("moufang_left", 1, None)
+        doc = scan(5, mode="sample", sample_size=25, seed=1).to_dict()
+        assert validate_report(doc) == kind
+        assert "not uniformly" in doc["sampling_note"]
+        assert (doc["sample_size"], doc["seed"]) == (25, 1)
 
 
 def test_sample_mode_is_deterministic():
@@ -248,7 +262,7 @@ def test_parallel_scan_matches_serial(tmp_path):
     )
     path = str(tmp_path / "modular.json")
     parallel = modular_scan(4, jobs=2, checkpoint=path)
-    assert _fields(parallel) == _fields(modular_scan(4))
+    assert _fields(parallel) == {**_fields(modular_scan(4)), "jobs": 2}
     with open(path) as fh:
         assert len(json.load(fh)["completed"]) == 24
 
@@ -653,6 +667,45 @@ def test_a_single_unit_runs_without_a_pool(tmp_path, monkeypatch):
     assert modular_scan(1, jobs=2).n1_count == 1
     with pytest.raises(RuntimeError, match="pool"):  # two units still share one
         kunen_scan(2, jobs=2)
+
+
+def test_the_pool_never_outnumbers_the_orbits_left(tmp_path, monkeypatch):
+    """A pool gets min(jobs, pending units) workers; this one starts none."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(kunen, "Pool", RecordingPool)
+    serial = kunen_scan(4)
+    assert _fields(kunen_scan(4, jobs=5000)) == {**_fields(serial), "jobs": 5000}
+    assert modular_scan(4, jobs=5000).n1_count == serial.n1_count
+    kunen_scan(4, jobs=3)
+    assert sizes == [7, 7, 3]  # order 4 has 7 orbits of first rows
+
+    path = str(tmp_path / "resume.json")
+    kunen_scan(4, checkpoint=path)
+    with open(path) as fh:
+        data = json.load(fh)
+    for row in ("0,1,2,3", "0,1,3,2", "0,2,3,1"):  # three orbits
+        del data["completed"][row]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    sizes.clear()
+    assert _fields(kunen_scan(4, jobs=5000, checkpoint=path)) == {
+        **_fields(serial), "jobs": 5000
+    }
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("scan, kind", [(kunen_scan, "kunen"), (modular_scan, "modular")])

@@ -1,8 +1,11 @@
 """Report schema validation and rejection paths."""
 
+import json
+
 import jsonschema
 import pytest
 
+from quasilab.cli import main
 from quasilab.reports import SCHEMAS, UnknownReportKind, validate_report
 
 
@@ -96,3 +99,48 @@ def test_unknown_kind():
         validate_report({})
     with pytest.raises(jsonschema.ValidationError):
         validate_report(["not", "an", "object"])
+
+
+def _undeclared(doc: dict, schema: dict, where: str = "") -> list[str]:
+    """The keys of doc, and of its objects that schema describes, with no property."""
+    properties = schema.get("properties", {})
+    missing = [where + key for key in doc if key not in properties]
+    for key, value in doc.items():
+        if isinstance(value, dict) and "properties" in properties.get(key, {}):
+            missing += _undeclared(value, properties[key], f"{where}{key}.")
+    return missing
+
+
+def test_every_emitted_key_is_a_schema_property(tmp_path, monkeypatch, capsys):
+    """Every --json report of the CLI, both scan kinds in both modes."""
+    monkeypatch.chdir(tmp_path)  # the commutativity scan dumps its tables here
+    z3, bad = tmp_path / "z3.tbl", tmp_path / "bad.tbl"
+    z3.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    bad.write_text("2\n0 0\n1 1\n")
+    scan = ["kunen-scan", "--order", "3"]
+    runs = [
+        ["validate", "--table", str(z3)],
+        ["validate", "--table", str(bad)],
+        ["check-identity", "--table", str(z3), "--builtin", "N1"],
+        ["check-identity", "--table", str(z3), "--builtin", "commutativity"],
+        ["check-identity", "--table", str(z3), "--identity", "((x*y)*z) = (y*x)"],
+        ["translations", "--table", str(z3)],
+        ["mlt", "--table", str(z3)],
+        ["measure", "--table", str(z3)],
+        ["characters", "--table", str(z3)],
+        ["axb", "verify", "--trials", "2"],
+        scan,
+        scan + ["--builtin", "commutativity"],
+        scan + ["--sample", "4"],
+        scan + ["--modular"],
+        scan + ["--modular", "--sample", "4"],
+    ]
+    kinds = set()
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"report{i}.json"
+        assert main(argv + ["--json", str(out), "--quiet"]) in (0, 1), argv
+        doc = json.loads(out.read_text())
+        kinds.add(validate_report(doc))
+        assert _undeclared(doc, SCHEMAS[doc["kind"]]) == [], argv
+    capsys.readouterr()
+    assert kinds == set(SCHEMAS)
