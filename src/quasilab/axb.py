@@ -25,6 +25,15 @@ integrate is a batch of one; run_verification_suite integrates its
 trials _CHUNK_TRIALS at a time.  A batch that fails raises
 ToleranceNotReached for its first still-active owner; its active cells
 together are capped at _MAX_ACTIVE_CELLS.
+
+The suite's scalar checks run in numpy blocks too: its arithmetic pairs
+and Jacobian points _BLOCK at a time, and each chunk's Delta(g^-1)
+Jacobians with the chunk.  There is one set of formulas: affine_mul,
+affine_inv, modular_function, numeric_jacobian and _rel_err take floats
+or arrays alike (an AffineElement may hold a block as two arrays), and
+elementwise float64 arithmetic rounds as Python's does, so a block gives
+every value of the scalar loop bit for bit and raises for the first
+element the scalar loop would have raised for.
 """
 
 from __future__ import annotations
@@ -57,14 +66,25 @@ class ToleranceNotReached(RuntimeError):
         )
 
 
+def _first_not_above_zero(x):
+    """The first entry of x (a float or an array) that is not above 0, or None."""
+    if not isinstance(x, np.ndarray):
+        return None if x > 0 else x
+    bad = np.flatnonzero(~(x > 0))
+    return x.flat[bad[0]].item() if bad.size else None
+
+
 @dataclass(frozen=True)
 class AffineElement:
+    """(a, b) with a > 0; a and b are floats, or arrays holding a block of elements."""
+
     a: float
     b: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"scale must be positive, got {self.a}")
+        bad = _first_not_above_zero(self.a)
+        if bad is not None:
+            raise ValueError(f"scale must be positive, got {bad}")
 
 
 IDENTITY = AffineElement(1.0, 0.0)
@@ -152,18 +172,28 @@ class TestFunction:
         return self.values(a, b)
 
 
+def _check_stencil(a, h: float) -> None:
+    """Raise StencilOutOfDomain for the first stencil centred at a whose a - h <= 0.
+
+    a is a float or an array, read in row-major order.
+    """
+    low = _first_not_above_zero(a - h)
+    if low is not None:
+        raise StencilOutOfDomain(f"stencil reaches a = {low} <= 0")
+
+
 def numeric_jacobian(side: str, g: AffineElement, p: AffineElement, h: float = 1e-4) -> float:
     """Central-difference Jacobian determinant of L_g or R_g at p.
 
-    side "left": p -> g p; side "right": p -> p g.  The four-point
-    stencil must stay inside {a > 0}.
+    side "left": p -> g p; side "right": p -> p g.  h must be finite and
+    above 0, and the four-point stencil must stay inside {a > 0}.  g and
+    p may hold blocks; the result is then an array, and a stencil outside
+    the domain raises for its first point.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if p.a - h <= 0:
-        raise StencilOutOfDomain(f"stencil reaches a = {p.a - h} <= 0")
+    _require_finite_positive("h", h)
+    _check_stencil(p.a, h)
 
     def phi(a: float, b: float) -> AffineElement:
         q = AffineElement(a, b)
@@ -394,8 +424,114 @@ def _integrate_batch(items, tol: float, max_depth: int) -> list[float]:
     return _adaptive_quadrature(func, boxes, tol, max_depth)
 
 
-def _rel_err(x: float, y: float) -> float:
-    return abs(x - y) / max(abs(x), abs(y), 1e-300)
+def _rel_err(x, y):
+    return abs(x - y) / np.maximum(np.maximum(abs(x), abs(y)), 1e-300)
+
+
+# arithmetic pairs or Jacobian points per numpy block: large enough to
+# amortise numpy's per-call cost, small enough that the suite's memory does
+# not grow with its counts
+_BLOCK = 512
+
+
+def _uniform_block(rng: random.Random, bounds, count: int) -> np.ndarray:
+    """count rows of rng.uniform(lo, hi), one per (lo, hi) in bounds; returned by column.
+
+    The draws are taken row by row, as a scalar loop takes them, and
+    uniform(lo, hi) is lo + (hi - lo) * random(), so each value is the
+    scalar draw bit for bit.
+    """
+    u = np.array([rng.random() for _ in range(count * len(bounds))]).reshape(count, -1)
+    lo, hi = np.array(bounds).T
+    return (lo + (hi - lo) * u).T
+
+
+def _largest(*errors) -> float:
+    """The largest entry of errors, floats or arrays."""
+    return max(float(np.max(e)) for e in errors)
+
+
+def _blocks(count: int, size: int) -> list[int]:
+    """The sizes of the blocks of at most size that cover count items in turn."""
+    return [min(size, count - first) for first in range(0, count, size)]
+
+
+def _arithmetic_block(rng: random.Random, count: int) -> tuple[float, float, float]:
+    """The largest associativity, inverse-law and Delta-multiplicativity errors of count pairs.
+
+    An arithmetic pair draws three elements g, h, k.
+    """
+    element = ((0.1, 10.0), (-10.0, 10.0))
+    ga, gb, ha, hb, ka, kb = _uniform_block(rng, element * 3, count)
+    g, h, k = AffineElement(ga, gb), AffineElement(ha, hb), AffineElement(ka, kb)
+    lhs = affine_mul(affine_mul(g, h), k)
+    rhs = affine_mul(g, affine_mul(h, k))
+    # the b-components are sums whose terms can nearly cancel, so
+    # measure their difference against the term magnitudes, not the
+    # (possibly tiny) result
+    b_scale = np.maximum(
+        np.maximum(abs(lhs.b), abs(rhs.b)),
+        abs(g.b) + abs(g.a * h.b) + abs(g.a * h.a * k.b),
+    )
+    r = affine_mul(g, affine_inv(g))
+    l = affine_mul(affine_inv(g), g)
+    scale = np.maximum(1.0, abs(g.b))
+    return (
+        _largest(_rel_err(lhs.a, rhs.a), abs(lhs.b - rhs.b) / np.maximum(b_scale, 1e-300)),
+        _largest(abs(r.a - 1.0), abs(r.b) / scale, abs(l.a - 1.0), abs(l.b) / scale),
+        _largest(_rel_err(modular_function(affine_mul(g, h)),
+                          modular_function(g) * modular_function(h))),
+    )
+
+
+def _jacobian_block(rng: random.Random, count: int, step: float) -> tuple[float, float]:
+    """The largest errors of the left and right Jacobians at count points."""
+    bounds = ((0.5, 3.0), (-5.0, 5.0), (0.5, 5.0), (-5.0, 5.0))
+    ga, gb, pa, pb = _uniform_block(rng, bounds, count)
+    g, p = AffineElement(ga, gb), AffineElement(pa, pb)
+    # both stencils of a point sit at p, so the left call raises for the
+    # first point whose stencil leaves the domain
+    jl = numeric_jacobian("left", g, p, step)
+    jr = numeric_jacobian("right", g, p, step)
+    return _largest(_rel_err(jl, g.a * g.a)), _largest(_rel_err(jr, g.a))
+
+
+def _trial_block(
+    rng: random.Random, count: int, quad_tol: float, step: float
+) -> tuple[float, float, float]:
+    """The largest left-invariance, right-scaling and Delta(g^-1) errors of count trials.
+
+    The trials' integrals are one quadrature batch.
+    """
+    chunk = []
+    for _ in range(count):
+        f = TestFunction(
+            center_a=rng.uniform(1.0, 5.0),
+            center_b=rng.uniform(-3.0, 3.0),
+            radius_a=rng.uniform(0.2, 0.5),
+            radius_b=rng.uniform(0.5, 1.5),
+            smoothness=3,
+        )
+        g = AffineElement(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
+        chunk.append((f, g))
+    items = [(f, t) for f, g in chunk for t in (None, ("left", g), ("right", g))]
+    baseline, left, right = np.reshape(_integrate_batch(items, quad_tol, max_depth=30), (-1, 3)).T
+    g = AffineElement(*np.array([(g.a, g.b) for _, g in chunk]).T)
+    factor = right / baseline
+    # Delta(g^-1) = |det Ad(g)|, Ad(g) the Jacobian of p -> g p g^-1 at the
+    # identity: by the chain rule, R_(g^-1) at e and then L_g at g^-1.  Trial
+    # by trial, the left stencil came before the right one, so the first of
+    # them to leave the domain is named
+    g_inv = affine_inv(g)
+    _check_stencil(np.column_stack(np.broadcast_arrays(g_inv.a, IDENTITY.a)), step)
+    det_ad = numeric_jacobian("left", g, g_inv, step) * numeric_jacobian(
+        "right", g_inv, IDENTITY, step
+    )
+    return (
+        _largest(_rel_err(left, baseline)),
+        _largest(_rel_err(factor, g.a)),
+        _largest(_rel_err(factor, abs(det_ad))),
+    )
 
 
 def run_verification_suite(
@@ -422,89 +558,22 @@ def run_verification_suite(
     for name, count in counts:
         if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
+    _require_finite_positive("jacobian_step", jacobian_step)
     start = time.perf_counter()
     rng = random.Random(seed)
-
-    def random_element(lo=0.1, hi=10.0):
-        return AffineElement(rng.uniform(lo, hi), rng.uniform(-10.0, 10.0))
-
-    max_assoc = 0.0
-    max_inverse = 0.0
-    max_modular = 0.0
-    for _ in range(arithmetic_pairs):
-        g = random_element()
-        h = random_element()
-        k = random_element()
-        lhs = affine_mul(affine_mul(g, h), k)
-        rhs = affine_mul(g, affine_mul(h, k))
-        # the b-components are sums whose terms can nearly cancel, so
-        # measure their difference against the term magnitudes, not the
-        # (possibly tiny) result
-        b_scale = max(
-            abs(lhs.b),
-            abs(rhs.b),
-            abs(g.b) + abs(g.a * h.b) + abs(g.a * h.a * k.b),
-        )
-        max_assoc = max(
-            max_assoc,
-            _rel_err(lhs.a, rhs.a),
-            abs(lhs.b - rhs.b) / max(b_scale, 1e-300),
-        )
-        r = affine_mul(g, affine_inv(g))
-        l = affine_mul(affine_inv(g), g)
-        scale = max(1.0, abs(g.b))
-        max_inverse = max(
-            max_inverse,
-            abs(r.a - 1.0),
-            abs(r.b) / scale,
-            abs(l.a - 1.0),
-            abs(l.b) / scale,
-        )
-        max_modular = max(
-            max_modular,
-            _rel_err(modular_function(affine_mul(g, h)),
-                     modular_function(g) * modular_function(h)),
-        )
-
-    max_jac_left = 0.0
-    max_jac_right = 0.0
-    for _ in range(jacobian_points):
-        g = AffineElement(rng.uniform(0.5, 3.0), rng.uniform(-5.0, 5.0))
-        p = AffineElement(rng.uniform(0.5, 5.0), rng.uniform(-5.0, 5.0))
-        jl = numeric_jacobian("left", g, p, jacobian_step)
-        jr = numeric_jacobian("right", g, p, jacobian_step)
-        max_jac_left = max(max_jac_left, _rel_err(jl, g.a * g.a))
-        max_jac_right = max(max_jac_right, _rel_err(jr, g.a))
-
-    max_left_inv = 0.0
-    max_right_scale = 0.0
-    max_delta_consistency = 0.0
-    for first in range(0, trials, _CHUNK_TRIALS):
-        chunk = []
-        for _ in range(min(_CHUNK_TRIALS, trials - first)):
-            f = TestFunction(
-                center_a=rng.uniform(1.0, 5.0),
-                center_b=rng.uniform(-3.0, 3.0),
-                radius_a=rng.uniform(0.2, 0.5),
-                radius_b=rng.uniform(0.5, 1.5),
-                smoothness=3,
-            )
-            g = AffineElement(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
-            chunk.append((f, g))
-        items = [(f, t) for f, g in chunk for t in (None, ("left", g), ("right", g))]
-        values = _integrate_batch(items, quad_tol, max_depth=30)
-        for i, (f, g) in enumerate(chunk):
-            baseline, left, right = values[3 * i : 3 * i + 3]
-            max_left_inv = max(max_left_inv, _rel_err(left, baseline))
-            factor = right / baseline
-            max_right_scale = max(max_right_scale, _rel_err(factor, g.a))
-            # Delta(g^-1) = |det Ad(g)|, Ad(g) the Jacobian of p -> g p g^-1 at
-            # the identity: by the chain rule, R_(g^-1) at e and then L_g at g^-1
-            g_inv = affine_inv(g)
-            det_ad = numeric_jacobian("left", g, g_inv, jacobian_step) * numeric_jacobian(
-                "right", g_inv, IDENTITY, jacobian_step
-            )
-            max_delta_consistency = max(max_delta_consistency, _rel_err(factor, abs(det_ad)))
+    # block by block, in the order the draws are taken; a list of no blocks
+    # leaves its maxima at 0
+    arithmetic = [_arithmetic_block(rng, count) for count in _blocks(arithmetic_pairs, _BLOCK)]
+    jacobians = [
+        _jacobian_block(rng, count, jacobian_step) for count in _blocks(jacobian_points, _BLOCK)
+    ]
+    integrals = [
+        _trial_block(rng, count, quad_tol, jacobian_step)
+        for count in _blocks(trials, _CHUNK_TRIALS)
+    ]
+    max_assoc, max_inverse, max_modular = np.max([(0.0,) * 3, *arithmetic], axis=0).tolist()
+    max_jac_left, max_jac_right = np.max([(0.0,) * 2, *jacobians], axis=0).tolist()
+    max_left_inv, max_right_scale, max_delta_consistency = np.max(integrals, axis=0).tolist()
 
     elapsed = time.perf_counter() - start
     arithmetic_tol = 1e-12

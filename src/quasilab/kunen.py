@@ -324,7 +324,9 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _load_checkpoint(path: str | None, header: dict, row_total: int, identity) -> dict:
+def _load_checkpoint(
+    path: str | None, header: dict, row_total: int, loops: int, identity
+) -> dict:
     """The completed entries, one per first row, of a checkpoint for this scan.
 
     A checkpoint of another scan is ignored; a malformed one raises
@@ -334,7 +336,8 @@ def _load_checkpoint(path: str | None, header: dict, row_total: int, identity) -
     increasing order.  Each counterexample must be a Latin square
     (cayley.validate_cayley) with the entry's first row, and the tally
     must keep it: it satisfies identity and is not a loop.  In a loop
-    entry n1 is n1_loop plus the counterexamples.  So the merge and the
+    entry n1 is n1_loop plus the counterexamples, and the entries' n1_loop
+    add up to at most loops, the order's loop count.  So the merge and the
     dump never see a bad value, and a resumed square passes the test that
     a searched one does.
     """
@@ -383,6 +386,8 @@ def _load_checkpoint(path: str | None, header: dict, row_total: int, identity) -
                 f"checkpoint {path}: every counterexample must satisfy "
                 f"{header['identity']} without being a loop"
             )
+    if sum(entry.get("n1_loop", 0) for entry in completed.values()) > loops:
+        raise ValueError(f"checkpoint {path}: n1_loop adds up to more than the {loops} loops")
     return completed
 
 
@@ -440,7 +445,8 @@ def _scan(
     row_total = count_latin_squares_memoized(n) // math.factorial(n)
 
     header = {"order": n, "identity": identity_text, "kind": kind}
-    completed = _load_checkpoint(checkpoint, header, row_total, identity)
+    loops = n * row_total // math.factorial(n - 1)
+    completed = _load_checkpoint(checkpoint, header, row_total, loops, identity)
     pending = [
         (kind, identity_text, n, orbit, row_total)
         for orbit in first_row_orbits(n)
@@ -467,7 +473,7 @@ def _scan(
         counterexamples += result.pop("counterexamples")
         counts.update(result)
     # this overrides the loop counts of entries that earlier versions wrote
-    counts["loop"] = n * row_total // math.factorial(n - 1)
+    counts["loop"] = loops
     return counts, counterexamples
 
 

@@ -12,7 +12,9 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from axb_oracle import scalar_max_errors
 
 from quasilab import axb
 from quasilab.axb import (
@@ -119,6 +121,42 @@ def test_jacobian_guards():
         numeric_jacobian("up", g, AffineElement(1.0, 0.0))
     with pytest.raises(ValueError):
         numeric_jacobian("left", g, AffineElement(1.0, 0.0), h=0.0)
+    # nan used to pass every guard, and inf to fail as a stencil at a = -inf
+    for bad in (math.nan, math.inf, -1e-4):
+        with pytest.raises(ValueError, match=r"^h must be finite and above 0"):
+            numeric_jacobian("left", g, AffineElement(1.0, 0.0), h=bad)
+
+
+def test_formulas_take_a_block_as_they_take_one_element():
+    rng = np.random.default_rng(4)
+    ga, pa = rng.uniform(0.1, 10.0, (2, 50))
+    gb, pb = rng.uniform(-10.0, 10.0, (2, 50))
+    g, p = AffineElement(ga, gb), AffineElement(pa, pb)
+    one = [(AffineElement(*x), AffineElement(*y)) for x, y in zip(zip(ga, gb), zip(pa, pb))]
+    blocks = {
+        "mul": affine_mul(g, p).b,
+        "inv": affine_inv(g).b,
+        "delta": modular_function(g),
+        "left": numeric_jacobian("left", g, p),
+        "right": numeric_jacobian("right", g, p),
+        "rel": axb._rel_err(ga, pa),
+    }
+    singles = {
+        "mul": [affine_mul(x, y).b for x, y in one],
+        "inv": [affine_inv(x).b for x, _ in one],
+        "delta": [modular_function(x) for x, _ in one],
+        "left": [numeric_jacobian("left", x, y) for x, y in one],
+        "right": [numeric_jacobian("right", x, y) for x, y in one],
+        "rel": [axb._rel_err(x.a, y.a) for x, y in one],
+    }
+    for name, block in blocks.items():
+        assert [float(v).hex() for v in block] == [float(v).hex() for v in singles[name]], name
+    # a block names its first bad scale or stencil, as an element at a time would
+    with pytest.raises(ValueError, match=r"got -2\.0$"):
+        AffineElement(np.array([1.0, -2.0, 0.0]), np.zeros(3))
+    p = AffineElement(np.array([2.0, 0.25, 0.1]), np.zeros(3))
+    with pytest.raises(StencilOutOfDomain, match=r"a = -0\.25 <= 0$"):
+        numeric_jacobian("left", IDENTITY, p, 0.5)
 
 
 def _poly_mul(p, q):
@@ -505,3 +543,91 @@ def test_suite_memory_does_not_grow_with_its_trials():
             tracemalloc.stop()
 
     assert peak(10 * CHUNK) <= 1.2 * peak(CHUNK)
+
+
+# ---------------------------------------------------------------------------
+# The scalar checks in numpy blocks: every max_errors entry, and every
+# exception, is the one-element-at-a-time suite's (tests/axb_oracle.py).
+
+BLOCK = axb._BLOCK
+
+
+def _block_suite(**kwargs):
+    try:
+        report = run_verification_suite(**kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return {name: err.hex() for name, err in report["max_errors"].items()}
+
+
+def _scalar_suite(trials, seed, arithmetic_pairs, jacobian_points, jacobian_step=1e-4):
+    try:
+        errors = scalar_max_errors(trials, seed, arithmetic_pairs, jacobian_points,
+                                   jacobian_step=jacobian_step)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {name: err.hex() for name, err in errors.items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("pairs", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 1000])
+@pytest.mark.parametrize("points", [0, 1, 10])
+def test_blocks_give_the_scalar_suites_errors_to_the_bit(seed, pairs, points):
+    counts = dict(trials=1, seed=seed, arithmetic_pairs=pairs, jacobian_points=points)
+    assert _block_suite(**counts) == _scalar_suite(**counts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunk_jacobians_give_the_scalar_suites_errors_to_the_bit(seed, trials):
+    counts = dict(trials=trials, seed=seed, arithmetic_pairs=BLOCK + 1, jacobian_points=10)
+    assert _block_suite(**counts) == _scalar_suite(**counts)
+
+
+def test_a_stencil_outside_the_domain_raises_what_the_scalar_suite_raises():
+    # a step that carries some stencil to a <= 0 raises for the point or
+    # trial the scalar loop reached first; in a chunk, trial i's left
+    # stencil (at g^-1) comes before its right one (at the identity, which
+    # fails for every trial once the step reaches 1)
+    messages = set()
+    for step in (0.3, 0.6, 0.99, 1.0, 1.5, 3.0):
+        for points in (0, 10):
+            for seed in range(6):
+                counts = dict(trials=CHUNK + 2, seed=seed, arithmetic_pairs=2,
+                              jacobian_points=points)
+                got = _block_suite(jacobian_step=step, **counts)
+                assert got == _scalar_suite(jacobian_step=step, **counts), (step, points, seed)
+                if isinstance(got, tuple):
+                    assert got[0] is StencilOutOfDomain
+                    messages.add(got[1])
+    # the right stencil of trial 0 came first, though later trials' left ones fail too
+    assert "stencil reaches a = 0.0 <= 0" in messages
+    assert "stencil reaches a = -0.5 <= 0" in messages
+    assert len(messages) > 20
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
+def test_suite_refuses_a_bad_jacobian_step_before_any_work(step, monkeypatch):
+    # nan ran every arithmetic pair and then failed inside AffineElement;
+    # inf failed as a stencil reaching a = -inf
+    def no_work(*args):
+        raise AssertionError("the suite drew before refusing its step")
+
+    monkeypatch.setattr(axb, "_uniform_block", no_work)
+    with pytest.raises(ValueError, match=r"^jacobian_step must be finite and above 0"):
+        run_verification_suite(trials=1, jacobian_step=step)
+
+
+def test_suite_memory_does_not_grow_with_its_pairs_and_points():
+    # the arithmetic pairs and Jacobian points run block by block, so ten
+    # blocks of each peak where one does
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            run_verification_suite(trials=1, seed=1, arithmetic_pairs=blocks * BLOCK,
+                                   jacobian_points=blocks * BLOCK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10) <= 1.2 * peak(1)

@@ -530,6 +530,34 @@ def test_kunen_scan_refuses_a_resumed_square_the_tally_would_not_keep(
     assert list(tmp_path.rglob("*.tbl")) == []
 
 
+@pytest.mark.parametrize("modular", [False, True])
+def test_kunen_scan_refuses_more_satisfying_loops_than_loops(
+    modular, tmp_path, monkeypatch, capsys
+):
+    """Each of the 24 order-4 rows may hold n1 = n1_loop = 24, but 576 > 16 loops.
+
+    Such a file used to exit 0 with loops_failing_n1 -560, a report that
+    report-validate refuses.
+    """
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "loops.json"
+    argv = ["kunen-scan", "--order", "4", "--checkpoint", str(path)]
+    argv += ["--modular"] if modular else []
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert len(doc["completed"]) == 24
+    for row in doc["completed"]:
+        doc["completed"][row] = {"total": 24, "n1": 24, "n1_loop": 24, "counterexamples": []}
+    path.write_text(json.dumps(doc))
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "16 loops" in err, err
+    assert json.loads(path.read_text()) == doc
+    assert list(tmp_path.rglob("*.tbl")) == []
+
+
 def test_python_dash_m_runs_the_cli():
     # a fresh interpreter that finds the package where this one did
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasilab.__file__))}

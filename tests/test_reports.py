@@ -144,3 +144,43 @@ def test_every_emitted_key_is_a_schema_property(tmp_path, monkeypatch, capsys):
         assert _undeclared(doc, SCHEMAS[doc["kind"]]) == [], argv
     capsys.readouterr()
     assert kinds == set(SCHEMAS)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_every_schema_passes_its_metaschema(kind):
+    schema = SCHEMAS[kind]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+INVALID = [
+    {"kind": "validate"},
+    {"kind": "validate", "valid": "yes", "order": -1},
+    {"kind": "measure", "order": 1, "measure": ["1.5"], "left_cocycle": ["1"],
+     "right_cocycle": ["x"], "dimension": 1, "degenerate": True},
+    {"kind": "axb-verify", "seed": 0, "trials": 1, "max_errors": {"x": "big"}, "passed": True},
+    {"kind": "characters", "order": 2, "dimension": 0, "positive_sum_oracle": True,
+     "agreement": True, "representation": {"well_defined": True, "group_order": -3}},
+    {"kind": "kunen-scan", "order": 0, "mode": "all", "total_squares": 12, "n1_count": 1},
+    {"kind": "modular-scan", "order": 3, "mode": "full", "total_squares": 12,
+     "n1_count": 3, "trivial_cocycle_count": 3, "all_trivial": True, "jobs": 0},
+]
+
+
+@pytest.mark.parametrize("doc", INVALID, ids=[doc["kind"] for doc in INVALID])
+def test_a_cached_validator_raises_what_jsonschema_validate_raises(doc):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(instance=doc, schema=SCHEMAS[doc["kind"]])
+    for _ in range(2):  # building the validator, then reusing it
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_report(doc)
+        assert got.value.message == expected.value.message
+        assert list(got.value.path) == list(expected.value.path)
+        assert list(got.value.schema_path) == list(expected.value.schema_path)
+
+
+def test_a_bad_schema_is_still_refused(monkeypatch):
+    broken = {"type": "object", "required": "kind", "properties": {"kind": {"const": "broken"}}}
+    monkeypatch.setitem(SCHEMAS, "broken", broken)
+    for _ in range(2):
+        with pytest.raises(jsonschema.SchemaError):
+            validate_report({"kind": "broken"})
