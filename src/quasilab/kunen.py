@@ -8,35 +8,28 @@ satisfies the identity without being a loop would be a counterexample
 and is dumped in full as a Cayley table text file (this is expected to
 never happen).
 
-Both the loop scan and the modular (measure) scan run through one entry
-path, one driver and one tally, and their reports share one set of
-fields; the modular one keeps only the satisfier count, since the
-measures are settled by theorem.  A sample scan tallies its
-squares directly.  Full scans partition the enumeration tree by first
-row.  A relabelling sigma with sigma(0) = 0 maps the squares with first
-row r bijectively onto those with first row sigma o r o sigma^-1, by
-T'(sigma x, sigma y) = sigma(T(x, y)), and preserves every tally a scan
-keeps (a term identity, loopness).  So a work unit is one orbit of
-first rows: only its smallest row is searched, and every row of the
-orbit gets its counts and the counterexamples relabelled into it.
-Units split across processes, and reports merge deterministically in
-lexicographic first-row order.  A JSON checkpoint file holds one result
-per first row, written as each orbit finishes, letting an interrupted
-scan resume without recounting.
+Both scan kinds run one scan; the modular report reads only its
+satisfier count, since the measures are settled by theorem.  A sample
+scan tallies its squares directly.  Full scans partition the enumeration
+tree by first row.  A relabelling sigma with sigma(0) = 0 maps the
+squares with first row r bijectively onto those with first row
+sigma o r o sigma^-1, by T'(sigma x, sigma y) = sigma(T(x, y)), and
+preserves every tally a scan keeps (a term identity, loopness).  So a
+work unit is one orbit of first rows: only its smallest row, the
+representative, is searched, and its counts hold for every row of the
+orbit.  Its counterexamples are stored once, and only the loop report's
+dump relabels them into every row (_per_row).  Units split across
+processes, and reports merge deterministically in lexicographic
+first-row order.  A JSON checkpoint file holds one entry per first row,
+rewritten as each orbit finishes, so an interrupted scan resumes.
 
-A unit does not walk every square of its row.  The satisfiers come from
-a search in the style of the finite-model builders Mace4 and SEM: as
-each cell of the square is filled, every instance of the identity whose
-products have all become defined is checked, and a failing one rejects
-the value.  Each instance runs the program of identities.compile_identity,
-as check_identity does, and waits on a watch list for the first empty
-cell it reads, so a filled cell wakes only the instances that read it,
-and it resumes from the products it had already computed.  An instance that
-lacks only one product, with operands known, forces that cell's value:
-the search pins the cell to it and skips every other value there.  The
-search prunes with the identity only, never with loopness, and each
-square it emits is checked again in full by the tally, so a search
-defect could lose a satisfier but never invent one.  Every row's total
+A unit does not walk every square of its row.  Its satisfiers come from
+a search in the style of the finite-model builders Mace4 and SEM, which
+checks each instance of the identity as the cells it reads fill
+(_cell_check).  The search prunes with the identity only, never with
+loopness, and each square it emits is checked again in full by the
+tally, so a search defect could lose a satisfier but never invent one.
+Every row's total
 is count_latin_squares_memoized(n) / n!, since permuting columns maps the
 squares with one first row onto those with any other.  The loops are
 counted by theorem: relabelling by the transposition (0 e) maps the
@@ -59,13 +52,7 @@ from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 from .cayley import CayleyError, FiniteQuasigroup, format_table_text, validate_cayley
-from .identities import (
-    builtin_identity,
-    check_identity,
-    compile_identity,
-    parse_identity,
-    pretty,
-)
+from .identities import builtin_identity, check_identity, compile_identity, pretty
 from .latin import (
     FULL_ENUMERATION_LIMIT,
     OrderTooLarge,
@@ -288,32 +275,31 @@ def _cell_check(identity, n: int, allowed):
     return check
 
 
-def _run_unit(args) -> list:
-    """Tally one work unit, a first-row orbit, for the scan kind.
+def _run_unit(args) -> tuple:
+    """Search one work unit, a first-row orbit, at its representative.
 
-    Returns (first_row, result) for every row of the orbit, a result being
-    a JSON-ready dict of counts plus the counterexample tables, so results
-    merge by addition.  Only the orbit's representative is searched, and
-    only its identity satisfiers reach the tally; each row copies the
-    counts and gets its counterexamples relabelled into that row, sorted
-    into the enumerator's lexicographic order.  No unit keeps a loop
-    count (the scan takes it by theorem), and a modular unit keeps only
-    the satisfier count, so it relabels nothing.
+    Returns the orbit, the representative's counts n1 and n1_loop (empty
+    when it has no satisfier) and its counterexamples, in the enumerator's
+    lexicographic order.  Only the identity satisfiers reach the tally,
+    and no unit keeps a loop count, since the scan takes it by theorem.
     """
-    kind, identity_text, n, orbit, row_total = args
-    identity = parse_identity(identity_text)
+    identity, n, orbit = args
     rep, allowed = orbit[0][0], [(1 << n) - 1] * (n * n)
     cell_check = _cell_check(identity, n, allowed)
     counts, counterexamples = _tally(identity, _backtrack(n, rep, None, allowed, cell_check))
-    if kind == "modular":
-        counts, counterexamples = ({"n1": counts["n1"]} if counts else {}), []
-    else:
-        counts = {"n1": counts["n1"], "n1_loop": counts["n1_loop"]} if counts else {}
-    results = []
-    for row, sigma in orbit:
-        relabelled = sorted(conjugate(square, sigma) for square in counterexamples)
-        results.append((row, {"total": row_total, **counts, "counterexamples": relabelled}))
-    return results
+    counts = {"n1": counts["n1"], "n1_loop": counts["n1_loop"]} if counts else {}
+    return orbit, counts, counterexamples
+
+
+def _per_row(orbits, completed):
+    """Yield each first row, in lexicographic order, with its counterexamples.
+
+    They are its representative's relabelled into it, in the enumerator's order.
+    """
+    members = sorted((row, sigma, orbit[0][0]) for orbit in orbits for row, sigma in orbit)
+    for row, sigma, rep in members:
+        squares = completed[_row_key(rep)]["counterexamples"]
+        yield row, sorted(conjugate(square, sigma) for square in squares)
 
 
 def _row_key(first_row) -> str:
@@ -324,8 +310,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _counts(entry) -> dict:
+    return {k: v for k, v in entry.items() if k != "counterexamples"}
+
+
 def _load_checkpoint(
-    path: str | None, header: dict, row_total: int, loops: int, identity
+    path: str | None, header: dict, orbits: list, row_total: int, loops: int, identity
 ) -> dict:
     """The completed entries, one per first row, of a checkpoint for this scan.
 
@@ -335,11 +325,14 @@ def _load_checkpoint(
     are ints from 0 to row_total, and counterexamples in strictly
     increasing order.  Each counterexample must be a Latin square
     (cayley.validate_cayley) with the entry's first row, and the tally
-    must keep it: it satisfies identity and is not a loop.  In a loop
-    entry n1 is n1_loop plus the counterexamples, and the entries' n1_loop
-    add up to at most loops, the order's loop count.  So the merge and the
-    dump never see a bad value, and a resumed square passes the test that
-    a searched one does.
+    must keep it: it satisfies identity and is not a loop.  A row holds
+    its representative's counts, and n1 is n1_loop plus the
+    counterexamples in the representative and in any row that lists its
+    own, as earlier versions did; those lists are then dropped.  An entry
+    with n1 but no n1_loop, as earlier modular scans wrote, lists none,
+    and a loop scan refuses it.  The n1_loop add up to at most loops.  So
+    the merge and the dump never see a bad value, and a resumed square
+    passes the test that a searched one does.
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -358,10 +351,9 @@ def _load_checkpoint(
             f"checkpoint {path}: every completed entry needs a total and counterexamples"
         )
     n = header["order"]
-    rows = {_row_key(row): row for row in first_rows(n)}
-    if not completed.keys() <= rows.keys():
+    reps = {_row_key(row): _row_key(orbit[0][0]) for orbit in orbits for row, _ in orbit}
+    if not completed.keys() <= reps.keys():
         raise ValueError(f"checkpoint {path}: every key must be a first row of order {n}")
-    loop = header["kind"] == "kunen"
     for key, entry in completed.items():
         counts = [v for k, v in entry.items() if k != "counterexamples"]
         if not all(_is_int(v) and 0 <= v <= row_total for v in counts):
@@ -371,13 +363,11 @@ def _load_checkpoint(
         squares = entry["counterexamples"]
         if not isinstance(squares, list):
             raise ValueError(f"checkpoint {path}: counterexamples must be a list")
-        if loop and entry.get("n1", 0) != entry.get("n1_loop", 0) + len(squares):
-            raise ValueError(f"checkpoint {path}: n1 must be n1_loop plus the counterexamples")
         try:
             tables = [validate_cayley(square).table for square in squares]
         except (CayleyError, TypeError) as exc:
             raise ValueError(f"checkpoint {path}: a counterexample is no Latin square: {exc}")
-        if any(table[0] != rows[key] for table in tables):
+        if any(_row_key(table[0]) != key for table in tables):
             raise ValueError(f"checkpoint {path}: a counterexample under {key} has another row")
         if any(a >= b for a, b in zip(tables, tables[1:])):
             raise ValueError(f"checkpoint {path}: counterexamples must be strictly increasing")
@@ -386,6 +376,17 @@ def _load_checkpoint(
                 f"checkpoint {path}: every counterexample must satisfy "
                 f"{header['identity']} without being a loop"
             )
+        if _counts(entry) != _counts(completed.get(reps[key], entry)):
+            raise ValueError(f"checkpoint {path}: {key} holds other counts than {reps[key]}")
+        n1 = entry.get("n1", 0)
+        if (key == reps[key] or squares) and n1 != entry.get("n1_loop", n1) + len(squares):
+            raise ValueError(f"checkpoint {path}: n1 must be n1_loop plus the counterexamples")
+        if key != reps[key]:
+            entry["counterexamples"] = []
+    if header["kind"] == "kunen" and any(
+        e.get("n1") and "n1_loop" not in e for e in completed.values()
+    ):
+        raise ValueError(f"checkpoint {path}: a loop scan needs n1_loop wherever n1 is")
     if sum(entry.get("n1_loop", 0) for entry in completed.values()) > loops:
         raise ValueError(f"checkpoint {path}: n1_loop adds up to more than the {loops} loops")
     return completed
@@ -395,7 +396,7 @@ def _write_checkpoint(path: str, header: dict, completed: dict):
     # write-then-rename, so an interrupted write never leaves a torn file
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({**header, "completed": completed}, fh)
+        fh.write(json.dumps({**header, "completed": completed}))
     os.replace(tmp, path)
 
 
@@ -406,16 +407,15 @@ def _scan(
     sample_size: int,
     seed: int,
     allow_n6: bool,
-    identity_text: str,
+    identity,
     jobs: int,
     checkpoint: str | None,
-) -> tuple[Counter, list]:
-    """Tally the squares for the kind; return counts and counterexamples.
+) -> tuple:
+    """Tally the squares; return counts and an iterable of counterexamples.
 
-    A full scan runs one work unit per first-row orbit, where the tally
-    sees each identity satisfier.  Each finished unit's rows are recorded
-    to the checkpoint at once, and a unit is pending while any of its rows
-    is missing; results merge in lexicographic first-row order.  A sample
+    A full scan runs one work unit per first-row orbit, records each
+    finished unit's rows to the checkpoint, labelled by kind, at once, and
+    leaves a unit pending while any of its rows is missing.  A sample
     scan tallies every sampled square directly, and a full scan sets the
     loop count by the theorem of the module docstring after the merge.
     """
@@ -423,7 +423,6 @@ def _scan(
         raise ValueError("order must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    identity = parse_identity(identity_text)
     if mode == "sample":
         if sample_size < 1:
             raise ValueError(f"sample size must be >= 1, got {sample_size}")
@@ -444,19 +443,21 @@ def _scan(
         raise OrderTooLarge(n, FULL_SCAN_DEFAULT_LIMIT)
     row_total = count_latin_squares_memoized(n) // math.factorial(n)
 
-    header = {"order": n, "identity": identity_text, "kind": kind}
+    header = {"order": n, "identity": pretty(identity), "kind": kind}
     loops = n * row_total // math.factorial(n - 1)
-    completed = _load_checkpoint(checkpoint, header, row_total, loops, identity)
+    orbits = first_row_orbits(n)
+    completed = _load_checkpoint(checkpoint, header, orbits, row_total, loops, identity)
     pending = [
-        (kind, identity_text, n, orbit, row_total)
-        for orbit in first_row_orbits(n)
+        (identity, n, orbit)
+        for orbit in orbits
         if any(_row_key(row) not in completed for row, _ in orbit)
     ]
 
     def record(finished):
-        for results in finished:
-            for row, result in results:
-                completed[_row_key(row)] = result
+        for orbit, counts, squares in finished:
+            for row, _ in orbit:
+                completed[_row_key(row)] = {"total": row_total, **counts, "counterexamples": []}
+            completed[_row_key(orbit[0][0])]["counterexamples"] = squares
             if checkpoint is not None:
                 _write_checkpoint(checkpoint, header, completed)
 
@@ -467,14 +468,12 @@ def _scan(
     else:
         record(map(_run_unit, pending))
 
-    counts, counterexamples = Counter(), []
-    for row in first_rows(n):
-        result = dict(completed[_row_key(row)])
-        counterexamples += result.pop("counterexamples")
-        counts.update(result)
+    counts = Counter()
+    for entry in completed.values():
+        counts.update(_counts(entry))
     # this overrides the loop counts of entries that earlier versions wrote
     counts["loop"] = loops
-    return counts, counterexamples
+    return counts, (square for _, squares in _per_row(orbits, completed) for square in squares)
 
 
 def _dump_counterexamples(squares, order: int, directory: str | None, identity_name: str):
@@ -485,7 +484,7 @@ def _dump_counterexamples(squares, order: int, directory: str | None, identity_n
         path = os.path.join(
             directory, f"counterexample_{identity_name}_order{order}_{i}.tbl"
         )
-        q = FiniteQuasigroup(tuple(tuple(row) for row in square))
+        q = FiniteQuasigroup(square)
         comment = (
             f"satisfies builtin identity {identity_name} but has no "
             "two-sided identity element"
@@ -508,11 +507,11 @@ def _scan_report(
     checkpoint: str | None,
     counterexample_dir: str | None = None,
 ):
-    """Run a scan of the kind and build its report; a loop scan dumps its counterexamples."""
+    """Run the scan and build the kind's report; only a loop scan dumps counterexamples."""
     start = time.perf_counter()
-    identity_text = pretty(builtin_identity(identity_name))
+    identity = builtin_identity(identity_name)
     counts, counterexamples = _scan(
-        n, kind, mode, sample_size, seed, allow_n6, identity_text, jobs, checkpoint
+        n, kind, mode, sample_size, seed, allow_n6, identity, jobs, checkpoint
     )
     sampled = mode == "sample"
     fields = dict(
@@ -536,9 +535,9 @@ def _scan_report(
             n1_loop_count=counts["n1_loop"],
             loop_count=counts["loop"],
             loops_failing_n1=counts["loop"] - counts["n1_loop"],
-            kunen_holds=counts["n1"] == counts["n1_loop"] and not counterexamples,
+            kunen_holds=counts["n1"] == counts["n1_loop"],
         )
-        if counterexamples:
+        if counts["n1"] != counts["n1_loop"]:  # each satisfier not a loop is listed
             fields["counterexample_files"] = tuple(
                 _dump_counterexamples(counterexamples, n, counterexample_dir, identity_name)
             )
@@ -585,8 +584,8 @@ def modular_scan(
 
     Every Latin square has trivial cocycles and a one-dimensional
     invariant measure space (measures.solve_quasi_invariant), the finite
-    instance of cocycle collapse, so the scan counts satisfiers and each
-    one counts in all three tallies.  jobs and checkpoint work as in
+    instance of cocycle collapse, so the scan is kunen_scan's, and each
+    satisfier counts in all three tallies.  jobs and checkpoint work as in
     kunen_scan.
     """
     return _scan_report(

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -554,6 +555,64 @@ def test_kunen_scan_refuses_more_satisfying_loops_than_loops(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "16 loops" in err, err
+    assert json.loads(path.read_text()) == doc
+    assert list(tmp_path.rglob("*.tbl")) == []
+
+
+def _order3_checkpoint(tmp_path, monkeypatch, capsys, argv) -> dict:
+    """Run argv once to write its checkpoint, kept off the current directory; return it."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    for table in tmp_path.rglob("*.tbl"):
+        table.unlink()
+    return json.loads(Path(argv[argv.index("--checkpoint") + 1]).read_text())
+
+
+@pytest.mark.parametrize("modular", [False, True])
+def test_kunen_scan_refuses_an_orbit_whose_rows_disagree(modular, tmp_path, monkeypatch, capsys):
+    """Every row of an orbit holds its representative's counts, or the file exits 2.
+
+    At order 3 the rows 1,0,2 and 2,1,0 form one orbit, whose squares are
+    stored under 1,0,2.  Claiming 2,1,0's satisfier is a loop keeps the
+    entry's own sums right but contradicts the representative.
+    """
+    path = tmp_path / "orbit.json"
+    argv = ["kunen-scan", "--order", "3", "--builtin", "commutativity",
+            "--checkpoint", str(path)] + (["--modular"] if modular else [])
+    doc = _order3_checkpoint(tmp_path, monkeypatch, capsys, argv)
+    assert doc["completed"]["1,0,2"]["n1_loop"] == 0
+    assert doc["completed"]["2,1,0"] == {"total": 2, "n1": 1, "n1_loop": 0, "counterexamples": []}
+    doc["completed"]["2,1,0"]["n1_loop"] = 1
+    path.write_text(json.dumps(doc))
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "2,1,0 holds other counts than 1,0,2" in err, err
+    assert json.loads(path.read_text()) == doc
+    assert list(tmp_path.rglob("*.tbl")) == []
+
+
+@pytest.mark.parametrize("modular", [False, True])
+def test_a_satisfier_count_alone_resumes_only_a_modular_scan(
+    modular, tmp_path, monkeypatch, capsys
+):
+    """An entry with n1 and no n1_loop is how earlier modular scans wrote a row.
+
+    A modular scan resumes it; a loop scan, whose report needs n1_loop,
+    exits 2 and leaves the file as it was.
+    """
+    path = tmp_path / "alone.json"
+    argv = ["kunen-scan", "--order", "3", "--checkpoint", str(path)]
+    argv += ["--modular"] if modular else []
+    doc = _order3_checkpoint(tmp_path, monkeypatch, capsys, argv)
+    del doc["completed"]["0,1,2"]["n1_loop"]
+    path.write_text(json.dumps(doc))
+
+    assert main(argv) == (0 if modular else 2)
+    err = capsys.readouterr().err
+    if not modular:
+        assert str(path) in err and "n1_loop" in err, err
     assert json.loads(path.read_text()) == doc
     assert list(tmp_path.rglob("*.tbl")) == []
 

@@ -160,7 +160,7 @@ def _count_units(monkeypatch, fail_after=None):
     def counting(args):
         if len(calls) == fail_after:
             raise KeyboardInterrupt
-        calls.append(args[3])
+        calls.append(args[2])
         return RUN_UNIT(args)
 
     monkeypatch.setattr(kunen, "_run_unit", counting)
@@ -357,6 +357,30 @@ def _unreduced_walk(n: int, identity_text: str) -> dict:
     return json.loads(json.dumps(walks))
 
 
+def _per_row_view(n: int, completed: dict) -> dict:
+    """A checkpoint's entries with each row's own counterexamples, as the dump reads them."""
+    view = {key: dict(entry) for key, entry in completed.items()}
+    for row, squares in kunen._per_row(first_row_orbits(n), completed):
+        view[_key(row)]["counterexamples"] = squares
+    return json.loads(json.dumps(view))
+
+
+def _parent_layout(entries) -> dict:
+    """Loop entries as the scan wrote them while every row listed its own squares.
+
+    A row with a satisfier held n1 and n1_loop, zero or not; any other
+    row held only its total and an empty list.
+    """
+    return {
+        key: {
+            "total": entry["total"],
+            **({"n1": entry["n1"], "n1_loop": entry["n1_loop"]} if entry.get("n1") else {}),
+            "counterexamples": entry["counterexamples"],
+        }
+        for key, entry in entries.items()
+    }
+
+
 def _without_loops(entries) -> dict:
     """Checkpoint entries without their loop and zero counts."""
     return {
@@ -386,9 +410,11 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
     with open(path) as fh:
         completed = json.load(fh)["completed"]
     walk = _unreduced_walk(n, pretty(builtin_identity(name)))
-    # the scan takes its loops by theorem, so its rows keep no loop count;
-    # the walk counts every loop square by square
-    assert _without_loops(completed) == _without_loops(walk[kind])
+    # both kinds run one scan, so a modular file holds what a loop file
+    # does; the scan takes its loops by theorem, so its rows keep no loop
+    # count, and the walk counts every loop square by square
+    view = _per_row_view(n, completed)
+    assert _without_loops(view) == _without_loops(walk["kunen"])
     if kind == "kunen":
         assert sum(entry.get("loop", 0) for entry in walk[kind].values()) == report.loop_count
     if (n, kind, name) == (5, "kunen", "N1"):
@@ -407,8 +433,13 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
     if name == "commutativity":
         # 3 and 80 commutative non-loops; at order 4 rows hold several, so
         # the relabelled counterexamples must also be sorted
-        found = [len(e["counterexamples"]) for e in completed.values()]
+        found = [len(e["counterexamples"]) for e in view.values()]
         assert sum(found) == {3: 3, 4: 80}[n]
+        # each orbit stores its representative's squares only
+        reps = {_key(orbit[0][0]) for orbit in first_row_orbits(n)}
+        stored = {key: len(e["counterexamples"]) for key, e in completed.items()}
+        assert {key for key, count in stored.items() if count} <= reps
+        assert sum(stored.values()) < sum(found)
 
 
 def _cyclic(n: int):
@@ -770,6 +801,64 @@ def test_a_loop_checkpoint_with_loop_counts_resumes(tmp_path, monkeypatch):
     dropped = _resume_from_old_entries(kunen_scan, "kunen", old_format, tmp_path, monkeypatch)
     assert any(old_format[key].get("loop") for key in dropped)
     assert any(old_format[key].get("loop") for key in old_format.keys() - dropped)
+
+
+def _dumped(report) -> list:
+    """The report's counterexample files, by name and text, in its order."""
+    files = []
+    for path in report.counterexample_files:
+        with open(path) as fh:
+            files.append((os.path.basename(path), fh.read()))
+    return files
+
+
+def test_a_checkpoint_with_squares_under_every_row_resumes(tmp_path, monkeypatch):
+    """Loop entries that list every row's own squares, as earlier versions did, resume.
+
+    Whole, the file runs no unit; with three orbits missing only those
+    run.  Both give the uninterrupted report and dump the same files, and
+    the partial resume leaves the file with squares under representatives
+    only, whose per-row view is the old file.
+    """
+    text = pretty(builtin_identity("commutativity"))
+    old_format = _parent_layout(_unreduced_walk(4, text)["kunen"])
+    comm = {"identity_name": "commutativity"}
+    fresh = kunen_scan(4, **comm, counterexample_dir=str(tmp_path / "fresh"))
+    orbits = first_row_orbits(4)
+    reps = {_key(orbit[0][0]) for orbit in orbits}
+    missing = [orbits[i] for i in (2, 4, 6)]
+    dropped = {_key(row) for orbit in missing for row, _ in orbit}
+    assert any(old_format[key]["counterexamples"] for key in dropped - reps)
+    partial_format = {k: v for k, v in old_format.items() if k not in dropped}
+    path = tmp_path / "old.json"
+    calls = _count_units(monkeypatch)
+    for name, completed, runs in (("partial", partial_format, missing), ("whole", old_format, [])):
+        path.write_text(json.dumps({"order": 4, "identity": text, "kind": "kunen",
+                                    "completed": completed}))
+        calls.clear()
+        resumed = kunen_scan(4, **comm, checkpoint=str(path),
+                             counterexample_dir=str(tmp_path / name))
+        assert calls == runs
+        assert {**_fields(resumed), "counterexample_files": None} == {
+            **_fields(fresh), "counterexample_files": None
+        }
+        assert _dumped(resumed) == _dumped(fresh)
+        assert len(_dumped(fresh)) == 80
+        if name == "partial":
+            written = json.loads(path.read_text())["completed"]
+            assert all(not e["counterexamples"] for k, e in written.items() if k not in reps)
+            assert _per_row_view(4, written) == old_format
+
+    # another row listing fewer squares than its counts is refused, as before
+    row = next(k for k in sorted(old_format.keys() - reps)
+               if len(old_format[k]["counterexamples"]) > 1)
+    squares = old_format[row]["counterexamples"][1:]
+    short = {**old_format, row: {**old_format[row], "counterexamples": squares}}
+    path.write_text(json.dumps({"order": 4, "identity": text, "kind": "kunen",
+                                "completed": short}))
+    with pytest.raises(ValueError, match="n1 must be n1_loop plus the counterexamples"):
+        kunen_scan(4, **comm, checkpoint=str(path), counterexample_dir=str(tmp_path / "short"))
+    assert not (tmp_path / "short").exists()
 
 
 def test_a_modular_scan_counts_no_loops_and_relabels_nothing(monkeypatch):
