@@ -2,8 +2,10 @@
 
 Exit code contract, uniform across subcommands: 0 when the request
 succeeded and any checked property holds, 1 when a checked property
-fails (a structured counterexample is printed as JSON), 2 on usage,
-file, or format errors.
+fails (a structured counterexample is printed as JSON, the last stdout
+line), 2 on usage, file, or format errors (a message on stderr).  Only
+main keeps it: each handler returns its report, its human lines and its
+failure document, and prints nothing.
 """
 
 from __future__ import annotations
@@ -50,19 +52,6 @@ def _load_table(path: str) -> FiniteQuasigroup:
         return parse_table_text(fh.read())
 
 
-def _write_json(args, doc: dict):
-    if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-
-def _say(args, *lines: str):
-    if not getattr(args, "quiet", False):
-        for line in lines:
-            print(line)
-
-
 def _cayley_failure(exc: CayleyError) -> dict:
     if isinstance(exc, RowDuplicate):
         return {"reason": "row-duplicate", "row": exc.row, "value": exc.value}
@@ -73,15 +62,13 @@ def _cayley_failure(exc: CayleyError) -> dict:
     return {"reason": "invalid", "message": str(exc)}
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     try:
         q = _load_table(args.table)
     except CayleyError as exc:
         failure = _cayley_failure(exc)
-        _write_json(args, {"kind": "validate", "valid": False, "failure": failure})
-        _say(args, f"invalid table: {exc}")
-        print(json.dumps(failure))
-        return 1
+        doc = {"kind": "validate", "valid": False, "failure": failure}
+        return doc, [f"invalid table: {exc}"], failure
     e = q.find_identity()
     doc = {
         "kind": "validate",
@@ -91,15 +78,13 @@ def _cmd_validate(args) -> int:
         "identity_element": e,
         "labels": list(q.labels) if q.labels is not None else None,
     }
-    _write_json(args, doc)
     loop_line = (
         f"loop with identity {q.label_of(e)}" if e is not None else "not a loop"
     )
-    _say(args, f"valid quasigroup of order {q.order}", loop_line)
-    return 0
+    return doc, [f"valid quasigroup of order {q.order}", loop_line], None
 
 
-def _cmd_check_identity(args) -> int:
+def _cmd_check_identity(args) -> tuple:
     q = _load_table(args.table)
     identity = (
         builtin_identity(args.builtin)
@@ -115,24 +100,19 @@ def _cmd_check_identity(args) -> int:
         "lhs_value": result.lhs_value,
         "rhs_value": result.rhs_value,
     }
-    _write_json(args, doc)
     if result.holds:
-        _say(args, f"holds: {pretty(identity)}")
-        return 0
-    _say(
-        args,
+        return doc, [f"holds: {pretty(identity)}"], None
+    line = (
         f"fails: {pretty(identity)} "
-        f"(lhs = {result.lhs_value}, rhs = {result.rhs_value})",
+        f"(lhs = {result.lhs_value}, rhs = {result.rhs_value})"
     )
-    print(json.dumps(result.counterexample))
-    return 1
+    return doc, [line], result.counterexample
 
 
-def _cmd_translations(args) -> int:
+def _cmd_translations(args) -> tuple:
     q = _load_table(args.table)
     if args.element is not None and not 0 <= args.element < q.order:
-        print(f"error: element {args.element} outside [0, {q.order})", file=sys.stderr)
-        return 2
+        raise ValueError(f"element {args.element} outside [0, {q.order})")
     elements = [args.element] if args.element is not None else list(range(q.order))
     left = [list(q.left_translation(a).images) for a in elements]
     right = [list(q.right_translation(a).images) for a in elements]
@@ -143,17 +123,12 @@ def _cmd_translations(args) -> int:
         "left": left if args.side in ("left", "both") else [],
         "right": right if args.side in ("right", "both") else [],
     }
-    _write_json(args, doc)
-    for a, images in zip(elements, left):
-        if args.side in ("left", "both"):
-            _say(args, f"L_{a}: {images}")
-    for a, images in zip(elements, right):
-        if args.side in ("right", "both"):
-            _say(args, f"R_{a}: {images}")
-    return 0
+    lines = [f"L_{a}: {images}" for a, images in zip(elements, doc["left"])]
+    lines += [f"R_{a}: {images}" for a, images in zip(elements, doc["right"])]
+    return doc, lines, None
 
 
-def _cmd_mlt(args) -> int:
+def _cmd_mlt(args) -> tuple:
     q = _load_table(args.table)
     group = {"left": lmlt, "right": rmlt, "both": mlt}[args.which](q)
     doc = {
@@ -165,19 +140,11 @@ def _cmd_mlt(args) -> int:
         "generators": [list(g.images) for g in group.generators],
         "base": list(group.base),
     }
-    _write_json(args, doc)
-    _say(
-        args,
-        f"degree {group.degree}, order {group.order}, "
-        f"transitive: {group.is_transitive()}",
-    )
-    if not args.quiet:
-        for g in group.generators:
-            print(json.dumps(list(g.images)))
-    return 0
+    summary = f"degree {group.degree}, order {group.order}, transitive: {doc['transitive']}"
+    return doc, [summary] + [json.dumps(images) for images in doc["generators"]], None
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> tuple:
     q = _load_table(args.table)
     sol = solve_quasi_invariant(q)
     doc = {
@@ -191,20 +158,17 @@ def _cmd_measure(args) -> int:
         "description": sol.description,
         "explanation": sol.explanation,
     }
-    _write_json(args, doc)
-    _say(
-        args,
+    lines = [
         f"invariant measure space dimension {sol.dimension}: {sol.description}",
-        f"measure (mass {sol.measure.mass}): "
-        + " ".join(str(w) for w in sol.measure.weights),
-        f"left cocycle j: {' '.join(str(v) for v in sol.left_cocycle.values)}",
-        f"right cocycle rho: {' '.join(str(v) for v in sol.right_cocycle.values)}",
+        f"measure (mass {sol.measure.mass}): {' '.join(doc['measure'])}",
+        f"left cocycle j: {' '.join(doc['left_cocycle'])}",
+        f"right cocycle rho: {' '.join(doc['right_cocycle'])}",
         f"degenerate (cocycles forced trivial): {sol.degenerate}",
-    )
-    return 0
+    ]
+    return doc, lines, None
 
 
-def _cmd_characters(args) -> int:
+def _cmd_characters(args) -> tuple:
     q = _load_table(args.table)
     basis = solve_characters(q)
     dimension = len(basis)
@@ -232,40 +196,37 @@ def _cmd_characters(args) -> int:
             "conflict": [list(w) for w in audit.conflict] if audit.conflict else None,
         },
     }
-    _write_json(args, doc)
-    _say(
-        args,
+    lines = [
         f"log-character solution space dimension: {dimension}",
         f"positive-sum oracle agrees: {agreement}",
         "normalization chi(e) = 1: "
         + ("n/a (not a loop)" if normalization is None else str(normalization)),
         f"representation well-defined on LMlt (order {audit.group_order}): "
         f"{audit.well_defined}",
-    )
-    ok = dimension == 0 and agreement and audit.well_defined
-    if normalization is False:
-        ok = False
-    return 0 if ok else 1
+    ]
+    checks = {
+        "dimension": dimension == 0,
+        "agreement": agreement,
+        "normalization": normalization is not False,
+        "well_defined": audit.well_defined,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    return doc, lines, {"failed": failed} if failed else None
 
 
-def _cmd_axb(args) -> int:
+def _cmd_axb(args) -> tuple:
     report = run_verification_suite(
         trials=args.trials, tol=args.tol, seed=args.seed
     )
-    _write_json(args, report)
-    _say(args, f"seed {report['seed']}, {report['trials']} integral trials")
-    if not args.quiet:
-        for name, err in report["max_errors"].items():
-            print(f"  {name}: max error {err:.3e}")
+    lines = [f"seed {report['seed']}, {report['trials']} integral trials"]
+    lines += [f"  {name}: max error {err:.3e}" for name, err in report["max_errors"].items()]
     if report["passed"]:
-        _say(args, "all tolerances met")
-        return 0
-    _say(args, f"tolerance violations: {', '.join(report['failures'])}")
-    print(json.dumps({"failures": report["failures"], "max_errors": report["max_errors"]}))
-    return 1
+        return report, lines + ["all tolerances met"], None
+    lines.append(f"tolerance violations: {', '.join(report['failures'])}")
+    return report, lines, {"failures": report["failures"], "max_errors": report["max_errors"]}
 
 
-def _cmd_kunen_scan(args) -> int:
+def _cmd_kunen_scan(args) -> tuple:
     sampled = args.sample is not None
     if not sampled and args.seed is not None:
         raise ValueError("--seed applies only to a --sample scan")
@@ -284,53 +245,41 @@ def _cmd_kunen_scan(args) -> int:
         if args.counterexample_dir is not None:
             raise ValueError("--counterexample-dir does not apply to --modular")
         rep = modular_scan(args.order, **scan)
-        doc = rep.to_dict()
-        _write_json(args, doc)
-        _say(
-            args,
+        lines = [
             f"order {rep.order} ({rep.mode}): {rep.total_squares} squares, "
             f"{rep.n1_count} satisfy {args.builtin}",
             f"trivial cocycles on all satisfiers: {rep.all_trivial} "
             f"({rep.trivial_cocycle_count}/{rep.n1_count})",
-        )
-        return 0 if rep.all_trivial else 1
+        ]
+        return rep.to_dict(), lines, None if rep.all_trivial else {"failed": ["all_trivial"]}
     rep = kunen_scan(args.order, counterexample_dir=args.counterexample_dir, **scan)
-    doc = rep.to_dict()
-    _write_json(args, doc)
-    _say(
-        args,
+    lines = [
         f"order {rep.order} ({rep.mode}): {rep.total_squares} squares in "
         f"{rep.elapsed:.1f}s",
         f"{args.builtin}-satisfiers: {rep.n1_count}, of which loops: "
         f"{rep.n1_loop_count}",
         f"loops: {rep.loop_count} (failing {args.builtin}: {rep.loops_failing_n1})",
         f"identity-implies-loop holds: {rep.kunen_holds}",
-    )
-    if not rep.kunen_holds:
-        print(json.dumps({"counterexample_files": list(rep.counterexample_files)}))
-        return 1
-    return 0
+    ]
+    failure = {"counterexample_files": list(rep.counterexample_files)}
+    return rep.to_dict(), lines, None if rep.kunen_holds else failure
 
 
-def _cmd_report_validate(args) -> int:
+def _cmd_report_validate(args) -> tuple:
     try:
         with open(args.file) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        print(f"error: not JSON: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"not JSON: {exc}") from exc
     try:
         kind = validate_report(doc)
     except UnknownReportKind as exc:
-        _say(args, f"invalid report: {exc}")
-        print(json.dumps({"valid": False, "error": str(exc)}))
-        return 1
+        error = str(exc)
     except jsonschema.ValidationError as exc:
-        _say(args, f"invalid report: {exc.message}")
-        print(json.dumps({"valid": False, "error": exc.message}))
-        return 1
-    _say(args, f"valid {kind} report")
-    return 0
+        error = exc.message
+    else:
+        return None, [f"valid {kind} report"], None
+    return None, [f"invalid report: {error}"], {"valid": False, "error": error}
 
 
 def _positive_int(text: str) -> int:
@@ -348,9 +297,13 @@ def _positive_float(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH", help="write machine JSON report here")
-    common.add_argument("--quiet", action="store_true", help="suppress human output")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", metavar="PATH", help="write machine JSON report here")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress human output")
+    common = [report, quiet]
+    tabled = argparse.ArgumentParser(add_help=False, parents=common)
+    tabled.add_argument("--table", required=True)
 
     parser = argparse.ArgumentParser(
         prog="quasilab",
@@ -361,14 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a Cayley table file")
-    p.add_argument("--table", required=True)
+    p = sub.add_parser("validate", parents=[tabled], help="validate a Cayley table file")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser(
-        "check-identity", parents=[common], help="test a term identity exhaustively"
+        "check-identity", parents=[tabled], help="test a term identity exhaustively"
     )
-    p.add_argument("--table", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--identity", help='identity text, e.g. "((x*y)*z) = (x*(y*z))"')
     group.add_argument("--builtin", help="builtin identity name, e.g. N1")
@@ -376,43 +327,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check_identity)
 
     p = sub.add_parser(
-        "translations", parents=[common], help="print translation permutations"
+        "translations", parents=[tabled], help="print translation permutations"
     )
-    p.add_argument("--table", required=True)
     p.add_argument("--element", type=int, default=None)
     p.add_argument("--side", choices=["left", "right", "both"], default="both")
     p.set_defaults(handler=_cmd_translations)
 
     p = sub.add_parser(
-        "mlt", parents=[common], help="multiplication group order and transitivity"
+        "mlt", parents=[tabled], help="multiplication group order and transitivity"
     )
-    p.add_argument("--table", required=True)
     p.add_argument("--which", choices=["left", "right", "both"], default="both")
     p.set_defaults(handler=_cmd_mlt)
 
     p = sub.add_parser(
-        "measure", parents=[common], help="solve for quasi-invariant measures"
+        "measure", parents=[tabled], help="solve for quasi-invariant measures"
     )
-    p.add_argument("--table", required=True)
     p.set_defaults(handler=_cmd_measure)
 
     p = sub.add_parser(
-        "characters", parents=[common], help="multiplicative character analysis"
+        "characters", parents=[tabled], help="multiplicative character analysis"
     )
-    p.add_argument("--table", required=True)
     p.add_argument("--cap", type=_positive_int, default=10**6, help="LMlt element cap")
     p.set_defaults(handler=_cmd_characters)
 
     p = sub.add_parser("axb", help="ax+b group numeric verification")
     axb_sub = p.add_subparsers(dest="axb_command", required=True)
-    v = axb_sub.add_parser("verify", parents=[common], help="run the full numeric suite")
+    v = axb_sub.add_parser("verify", parents=common, help="run the full numeric suite")
     v.add_argument("--trials", type=_positive_int, default=100)
     v.add_argument("--tol", type=_positive_float, default=1e-6)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(handler=_cmd_axb)
 
     p = sub.add_parser(
-        "kunen-scan", parents=[common], help="scan Latin squares: identity vs loop"
+        "kunen-scan", parents=common, help="scan Latin squares: identity vs loop"
     )
     p.add_argument("--order", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
@@ -440,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_kunen_scan)
 
     p = sub.add_parser(
-        "report-validate", parents=[common], help="validate a JSON report file"
+        "report-validate", parents=[quiet], help="validate a JSON report file"
     )
     p.add_argument("file")
     p.set_defaults(handler=_cmd_report_validate)
@@ -449,10 +396,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand under the exit code contract; the only code that prints.
+
+    The handler returns (doc, lines, failure).  main writes doc to the
+    --json file, prints lines unless --quiet, and prints failure, if any,
+    as the last stdout line, even under --quiet, for exit 1.  An input
+    error prints one line to stderr for exit 2.
+    """
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        doc, lines, failure = args.handler(args)
+        if doc is not None and args.json:  # report-validate has no --json
+            with open(args.json, "w") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        if not args.quiet:
+            for line in lines:
+                print(line)
+        if failure is None:
+            return 0
+        print(json.dumps(failure))
+        return 1
     except CayleyError as exc:
         print(f"error: invalid table: {exc}", file=sys.stderr)
         return 2

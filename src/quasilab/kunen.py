@@ -316,7 +316,7 @@ def _counts(entry) -> dict:
 
 def _load_checkpoint(
     path: str | None, header: dict, orbits: list, row_total: int, loops: int, identity
-) -> dict:
+) -> tuple[dict, bool]:
     """The completed entries, one per first row, of a checkpoint for this scan.
 
     A checkpoint of another scan is ignored; a malformed one raises
@@ -328,20 +328,21 @@ def _load_checkpoint(
     must keep it: it satisfies identity and is not a loop.  A row holds
     its representative's counts, and n1 is n1_loop plus the
     counterexamples in the representative and in any row that lists its
-    own, as earlier versions did; those lists are then dropped.  An entry
-    with n1 but no n1_loop, as earlier modular scans wrote, lists none,
-    and a loop scan refuses it.  The n1_loop add up to at most loops.  So
-    the merge and the dump never see a bad value, and a resumed square
-    passes the test that a searched one does.
+    own, as earlier versions did; those lists are then dropped, and the
+    second value returned is True.  An entry with n1 but no n1_loop, as
+    earlier modular scans wrote, lists none, and a loop scan refuses it.
+    The n1_loop add up to at most loops.  So the merge and the dump never
+    see a bad value, and a resumed square passes the test that a searched
+    one does.
     """
     if not (path and os.path.exists(path)):
-        return {}
+        return {}, False
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"checkpoint {path} does not hold a JSON object")
     if any(data.get(k) != v for k, v in header.items()):
-        return {}
+        return {}, False
     completed = data.get("completed", {})
     if not isinstance(completed, dict) or not all(
         isinstance(entry, dict) and {"total", "counterexamples"} <= entry.keys()
@@ -354,6 +355,7 @@ def _load_checkpoint(
     reps = {_row_key(row): _row_key(orbit[0][0]) for orbit in orbits for row, _ in orbit}
     if not completed.keys() <= reps.keys():
         raise ValueError(f"checkpoint {path}: every key must be a first row of order {n}")
+    dropped = False
     for key, entry in completed.items():
         counts = [v for k, v in entry.items() if k != "counterexamples"]
         if not all(_is_int(v) and 0 <= v <= row_total for v in counts):
@@ -381,15 +383,15 @@ def _load_checkpoint(
         n1 = entry.get("n1", 0)
         if (key == reps[key] or squares) and n1 != entry.get("n1_loop", n1) + len(squares):
             raise ValueError(f"checkpoint {path}: n1 must be n1_loop plus the counterexamples")
-        if key != reps[key]:
-            entry["counterexamples"] = []
+        if key != reps[key] and squares:
+            entry["counterexamples"], dropped = [], True
     if header["kind"] == "kunen" and any(
         e.get("n1") and "n1_loop" not in e for e in completed.values()
     ):
         raise ValueError(f"checkpoint {path}: a loop scan needs n1_loop wherever n1 is")
     if sum(entry.get("n1_loop", 0) for entry in completed.values()) > loops:
         raise ValueError(f"checkpoint {path}: n1_loop adds up to more than the {loops} loops")
-    return completed
+    return completed, dropped
 
 
 def _write_checkpoint(path: str, header: dict, completed: dict):
@@ -415,9 +417,12 @@ def _scan(
 
     A full scan runs one work unit per first-row orbit, records each
     finished unit's rows to the checkpoint, labelled by kind, at once, and
-    leaves a unit pending while any of its rows is missing.  A sample
-    scan tallies every sampled square directly, and a full scan sets the
-    loop count by the theorem of the module docstring after the merge.
+    leaves a unit pending while any of its rows is missing.  A checkpoint
+    whose other rows list squares, as earlier versions wrote, is written
+    back at once in the current layout, even with no unit pending.  A
+    sample scan tallies every sampled square directly, and a full scan
+    sets the loop count by the theorem of the module docstring after the
+    merge.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -446,7 +451,9 @@ def _scan(
     header = {"order": n, "identity": pretty(identity), "kind": kind}
     loops = n * row_total // math.factorial(n - 1)
     orbits = first_row_orbits(n)
-    completed = _load_checkpoint(checkpoint, header, orbits, row_total, loops, identity)
+    completed, dropped = _load_checkpoint(checkpoint, header, orbits, row_total, loops, identity)
+    if dropped:  # once, so that no later resume checks the dropped squares again
+        _write_checkpoint(checkpoint, header, completed)
     pending = [
         (identity, n, orbit)
         for orbit in orbits

@@ -5,6 +5,7 @@ Exit code contract: 0 = request succeeded and the checked property holds,
 or format errors (message on stderr).
 """
 
+import ast
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import quasilab
+from quasilab import cli
 from quasilab.cli import main
 from quasilab.identities import builtin_identity, pretty
 from quasilab.kunen import kunen_scan
@@ -656,6 +658,106 @@ def test_report_validate_rejections(tmp_path, capsys):
 
     assert main(["report-validate", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+def test_report_validate_takes_no_json(tables, tmp_path, capsys):
+    # it writes no report, so --json is refused rather than ignored
+    report = str(tmp_path / "report.json")
+    assert main(["validate", "--table", tables["z3"], "--json", report, "--quiet"]) == 0
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as info:
+        main(["report-validate", report, "--json", str(out)])
+    assert info.value.code == 2
+    assert "--json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (name, argv, exit code): every subcommand on a passing input and, where
+# it has one, a failing input; {name} fields are filled from the test's paths
+CONTRACT_CASES = [
+    ("validate", ["validate", "--table", "{z3}"], 0),
+    ("validate-fails", ["validate", "--table", "{bad}"], 1),
+    ("check-identity", ["check-identity", "--table", "{z3}", "--builtin", "N1"], 0),
+    ("check-identity-fails", ["check-identity", "--table", "{sub3}", "--builtin", "N1"], 1),
+    ("translations", ["translations", "--table", "{sub3}"], 0),
+    ("mlt", ["mlt", "--table", "{sub3}"], 0),
+    ("measure", ["measure", "--table", "{sub3}"], 0),
+    ("characters", ["characters", "--table", "{sub3}"], 0),
+    ("axb", ["axb", "verify", "--trials", "3"], 0),
+    ("axb-fails", ["axb", "verify", "--trials", "3", "--tol", "1e-300"], 1),
+    ("kunen-scan", ["kunen-scan", "--order", "3"], 0),
+    ("kunen-scan-fails", ["kunen-scan", "--order", "3", "--builtin", "commutativity",
+                          "--counterexample-dir", "{dumps}"], 1),
+    ("modular-scan", ["kunen-scan", "--order", "3", "--modular"], 0),
+    ("report-validate", ["report-validate", "{report}"], 0),
+    ("report-validate-fails", ["report-validate", "{mystery}"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [case[1:] for case in CONTRACT_CASES], ids=[case[0] for case in CONTRACT_CASES]
+)
+def test_every_subcommand_keeps_the_output_contract(argv, code, tables, tmp_path, capsys):
+    """Run with and without --quiet and --json; report-validate takes no --json.
+
+    Under --quiet, exit 0 prints nothing and exit 1 prints exactly one
+    line, a JSON document, which is the last line without --quiet too.
+    Every --json file is a valid report.
+    """
+    report, mystery = tmp_path / "valid.json", tmp_path / "mystery.json"
+    assert main(["validate", "--table", tables["z3"], "--json", str(report), "--quiet"]) == 0
+    mystery.write_text('{"kind": "mystery"}')
+    paths = {**tables, "report": report, "mystery": mystery, "dumps": tmp_path / "dumps"}
+    argv = [arg.format(**paths) for arg in argv]
+    failures = []
+    for quiet in (False, True):
+        for json_out in (False, True) if argv[0] != "report-validate" else (False,):
+            out = tmp_path / f"out_{quiet}_{json_out}.json"
+            extra = ["--quiet"] * quiet + ["--json", str(out)] * json_out
+            assert main(argv + extra) == code, extra
+            lines = capsys.readouterr().out.splitlines()
+            if quiet:
+                assert len(lines) == code, lines
+            else:
+                assert len(lines) > code, lines  # the human lines come first
+            if code:
+                failures.append(json.loads(lines[-1]))
+            if json_out:
+                validate_report(json.loads(out.read_text()))
+            assert out.exists() == json_out
+    assert all(failure == failures[0] for failure in failures)
+
+
+def _printing_functions(tree: ast.AST) -> list[str]:
+    """Where a function other than main calls print or json.dump."""
+    return [
+        f"line {node.lineno}: {function.name} calls {ast.unparse(node.func)}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name != "main"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("print", "json.dump")
+    ]
+
+
+def test_rules_catch_printing_functions():
+    source = (
+        "def main():\n"
+        "    print(1)\n"
+        "    json.dump({}, fh)\n"
+        "def _cmd(args):\n"
+        "    print(json.dumps({}))\n"
+        "    json.dump({}, fh)\n"
+    )
+    assert _printing_functions(ast.parse(source)) == [
+        "line 5: _cmd calls print",
+        "line 6: _cmd calls json.dump",
+    ]
+
+
+def test_only_main_prints_or_writes_the_report():
+    """The handlers return their output, and main alone keeps the output contract."""
+    path = Path(cli.__file__)
+    assert _printing_functions(ast.parse(path.read_text(), str(path))) == []
 
 
 def test_quiet_suppresses_human_output(tables, capsys):

@@ -817,8 +817,9 @@ def test_a_checkpoint_with_squares_under_every_row_resumes(tmp_path, monkeypatch
 
     Whole, the file runs no unit; with three orbits missing only those
     run.  Both give the uninterrupted report and dump the same files, and
-    the partial resume leaves the file with squares under representatives
-    only, whose per-row view is the old file.
+    both leave the file with squares under representatives only, whose
+    per-row view is the old file: the whole file is written back once,
+    though no orbit is pending.  A refused file is left as it was.
     """
     text = pretty(builtin_identity("commutativity"))
     old_format = _parent_layout(_unreduced_walk(4, text)["kunen"])
@@ -844,14 +845,13 @@ def test_a_checkpoint_with_squares_under_every_row_resumes(tmp_path, monkeypatch
         }
         assert _dumped(resumed) == _dumped(fresh)
         assert len(_dumped(fresh)) == 80
-        if name == "partial":
-            written = json.loads(path.read_text())["completed"]
-            assert all(not e["counterexamples"] for k, e in written.items() if k not in reps)
-            assert _per_row_view(4, written) == old_format
+        written = json.loads(path.read_text())["completed"]
+        assert all(not e["counterexamples"] for k, e in written.items() if k not in reps)
+        assert _per_row_view(4, written) == old_format
 
-    # another row listing fewer squares than its counts is refused, as before
-    row = next(k for k in sorted(old_format.keys() - reps)
-               if len(old_format[k]["counterexamples"]) > 1)
+    # another row listing fewer squares than its counts is refused, as before;
+    # the last such row, so that rows with lists to drop come before it
+    row = max(k for k in old_format.keys() - reps if len(old_format[k]["counterexamples"]) > 1)
     squares = old_format[row]["counterexamples"][1:]
     short = {**old_format, row: {**old_format[row], "counterexamples": squares}}
     path.write_text(json.dumps({"order": 4, "identity": text, "kind": "kunen",
@@ -859,6 +859,7 @@ def test_a_checkpoint_with_squares_under_every_row_resumes(tmp_path, monkeypatch
     with pytest.raises(ValueError, match="n1 must be n1_loop plus the counterexamples"):
         kunen_scan(4, **comm, checkpoint=str(path), counterexample_dir=str(tmp_path / "short"))
     assert not (tmp_path / "short").exists()
+    assert json.loads(path.read_text())["completed"] == short
 
 
 def test_a_modular_scan_counts_no_loops_and_relabels_nothing(monkeypatch):
