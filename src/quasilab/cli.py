@@ -11,6 +11,7 @@ failure document, and prints nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -296,6 +297,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", metavar="PATH", help="write machine JSON report here")

@@ -395,10 +395,12 @@ def _load_checkpoint(
 
 
 def _write_checkpoint(path: str, header: dict, completed: dict):
-    # write-then-rename, so an interrupted write never leaves a torn file
+    # write-then-rename, so an interrupted write never leaves a torn file;
+    # rows sorted (one digit per point, so as strings), so the bytes do not
+    # depend on which orbit finished first
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(json.dumps({**header, "completed": completed}))
+        fh.write(json.dumps({**header, "completed": dict(sorted(completed.items()))}))
     os.replace(tmp, path)
 
 

@@ -30,7 +30,7 @@ class Measure:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = tuple(Fraction(x) for x in weights)
+        w = tuple(x if type(x) is Fraction else Fraction(x) for x in weights)
         if any(x < 0 for x in w):
             raise ValueError("negative weight")
         if not any(x > 0 for x in w):
@@ -75,7 +75,7 @@ class Cocycle:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = tuple(Fraction(x) for x in values)
+        v = tuple(x if type(x) is Fraction else Fraction(x) for x in values)
         if any(x <= 0 for x in v):
             raise ValueError("cocycle values must be positive")
         self.values = v

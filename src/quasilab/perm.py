@@ -8,6 +8,7 @@ image tuples and only wrap them in Perm at API boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class DegreeMismatch(ValueError):
@@ -25,6 +26,13 @@ class Perm:
     @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(tuple(range(degree)))
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap a composite of validated permutations without the check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @property
     def degree(self) -> int:
@@ -49,7 +57,12 @@ class Perm:
 
 
 def compose_images(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    """Raw-tuple composition, right factor first; no validation."""
+    """Raw-tuple composition, right factor first; no validation.
+
+    itemgetter(*t)(s) is the fast form, but returns a scalar for one index.
+    """
+    if len(t) > 1:
+        return itemgetter(*t)(s)
     return tuple(s[i] for i in t)
 
 

@@ -8,7 +8,10 @@ are verified deepest-first with a jump back down whenever a new strong
 generator appears.  Orders come out as exact Python ints via the product
 of fundamental orbit sizes.  Each transversal element is stored with its
 inverse, composed from the generators' inverses as the element is built,
-so sifting and Schreier generators never invert a permutation.
+so sifting and Schreier generators never invert a permutation; the
+inverses are computed once per strong generator, as it joins the chain.
+Compositions are operator.itemgetter calls, and strong generators, built
+from validated permutations, are wrapped in Perm without a second check.
 
 Verification stops as soon as that product reaches the order bound the
 generators prove, degree! or degree!/2 when all of them are even (the
@@ -25,6 +28,7 @@ rows and columns of the Cayley table.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .cayley import FiniteQuasigroup
 from .perm import DegreeMismatch, Perm, compose_images, invert_images, orbits
@@ -47,7 +51,7 @@ def _strip(g: tuple, base, transversals):
         t = transversals[i].get(g[b])
         if t is None:
             return g, i
-        g = compose_images(t[1], g)
+        g = itemgetter(*g)(t[1])  # u^-1 g; a non-empty base means degree >= 2
     return g, len(base)
 
 
@@ -61,41 +65,42 @@ def _chain_order(transversals) -> int:
 
 def _build_bsgs(gens: list[tuple], degree: int):
     identity = tuple(range(degree))
-    seen = set()
-    uniq = []
-    for g in gens:
-        if g != identity and g not in seen:
-            seen.add(g)
-            uniq.append(g)
-    gens = uniq
+    gens = [g for g in dict.fromkeys(gens) if g != identity]
 
+    # A generator that fixes base[:k] and moves base[k] belongs to levels
+    # 0..k; one that fixes the whole base so far appends its smallest moved
+    # point, so k is settled when the generator is read.
     base: list[int] = []
+    level_gens: list[list[tuple]] = []
     for g in gens:
-        if all(g[b] == b for b in base):
+        k = 0
+        while k < len(base) and g[base[k]] == base[k]:
+            k += 1
+        if k == len(base):
             base.append(min(p for p in range(degree) if g[p] != p))
-    level_gens = [
-        [g for g in gens if all(g[b] == b for b in base[:i])]
-        for i in range(len(base))
-    ]
+            level_gens.append([])
+        for level in level_gens[:k + 1]:
+            level.append(g)
     transversals: list[dict[int, tuple[tuple, tuple]]] = [
         {base[i]: (identity, identity)} for i in range(len(base))
     ]
+    # each strong generator is inverted once, when it joins the chain
+    inverse = {g: invert_images(g) for g in gens}
 
+    # A non-empty base means degree >= 2, so itemgetter below always takes
+    # at least two indices and returns a tuple.
     def recompute_transversal(i: int) -> None:
         b = base[i]
         trans = {b: (identity, identity)}
         queue = [b]
-        qi = 0
-        gens_i = [(s, invert_images(s)) for s in level_gens[i]]
-        while qi < len(queue):
-            pt = queue[qi]
-            qi += 1
+        gens_i = [(s, inverse[s]) for s in level_gens[i]]
+        for pt in queue:  # grows while it is walked: breadth-first
             u, uinv = trans[pt]
             for s, sinv in gens_i:
                 img = s[pt]
                 if img not in trans:
-                    # (s u)^-1 = u^-1 s^-1
-                    trans[img] = (compose_images(s, u), compose_images(uinv, sinv))
+                    # s u, and (s u)^-1 = u^-1 s^-1
+                    trans[img] = (itemgetter(*u)(s), itemgetter(*sinv)(uinv))
                     queue.append(img)
         transversals[i] = trans
 
@@ -124,7 +129,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
             for s in level_gens[i]:
                 # the Schreier generator v^-1 s u, v the transversal element at s(pt)
                 vinv = trans[s[pt]][1]
-                sg = tuple(vinv[s[x]] for x in u)
+                sg = itemgetter(*itemgetter(*u)(s))(vinv)
                 if sg == identity:
                     continue
                 residue, j = _strip(sg, deeper_base, deeper)
@@ -147,6 +152,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
                     base.append(new_point)
                     level_gens.append([])
                     transversals.append({new_point: (identity, identity)})
+                inverse[residue] = invert_images(residue)
                 for l in range(i + 1, j + 1):
                     level_gens[l].append(residue)
                     recompute_transversal(l)
@@ -171,14 +177,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.base = tuple(base)
-        seen = set()
-        strong = []
-        for level in level_gens:
-            for g in level:
-                if g not in seen:
-                    seen.add(g)
-                    strong.append(Perm(g))
-        self.strong_generators = tuple(strong)
+        # from a list: tuple(map(...)) here let peak RSS climb as groups were built
+        strong = dict.fromkeys(g for level in level_gens for g in level)
+        self.strong_generators = tuple([Perm._trusted(g) for g in strong])
         self.order = order
         self._transversals = tuple(transversals)
 

@@ -782,3 +782,47 @@ def test_missing_subcommand_is_a_usage_error(tables, capsys):
             main(argv)
         assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(tables, tmp_path, monkeypatch, capsys):
+    # main builds the parser once per process; a flag given to one call
+    # must not carry into the next, so each call of the sequence is run
+    # again on a freshly built parser and must give the same exit code,
+    # output and report
+    monkeypatch.chdir(tmp_path)
+    calls = [
+        ["validate", "--table", tables["z3"], "--quiet"],
+        ["validate", "--table", tables["z3"]],
+        ["mlt", "--table", tables["sub3"], "--which", "left", "--json", "mlt.json"],
+        ["mlt", "--table", tables["sub3"], "--json", "mlt.json"],
+        ["kunen-scan", "--order", "4", "--jobs", "2", "--checkpoint", "scan.ckpt",
+         "--json", "scan.json"],
+        ["kunen-scan", "--order", "4", "--json", "scan.json"],
+        ["kunen-scan", "--order", "4", "--builtin", "commutativity", "--quiet",
+         "--counterexample-dir", "dumps", "--json", "scan.json"],
+        ["kunen-scan", "--order", "3", "--sample", "5", "--seed", "2", "--json", "scan.json"],
+        ["kunen-scan", "--order", "3", "--sample", "5", "--json", "scan.json"],
+        ["kunen-scan", "--order", "0"],
+        ["translations", "--table", tables["z3"], "--element", "1", "--side", "left"],
+        ["translations", "--table", tables["z3"]],
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        for leftover in ("scan.ckpt", "mlt.json", "scan.json"):
+            if os.path.exists(leftover):
+                os.remove(leftover)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        report = None
+        for path in ("mlt.json", "scan.json"):
+            if os.path.exists(path):
+                report = _load_report(path)
+                report.pop("elapsed", None)
+        return code, re.sub(r"in [0-9.]+s", "in Ts", out), err, report
+
+    once = [run(argv, fresh=False) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    assert [run(argv, fresh=True) for argv in calls] == once
+    assert [code for code, *_ in once] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0]

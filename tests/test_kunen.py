@@ -912,3 +912,35 @@ def test_relabelling_preserves_what_a_scan_tallies(case):
     assert a.dimension == b.dimension
     for side in ("left_ratios", "right_ratios"):
         assert (set(getattr(a, side)) == {1}) == (set(getattr(b, side)) == {1})
+
+
+@pytest.mark.parametrize("name", ["N1", "commutativity"])
+def test_checkpoint_bytes_do_not_depend_on_which_orbit_finishes_first(
+    tmp_path, monkeypatch, name
+):
+    identity = builtin_identity(name)
+
+    def scan(jobs, path):
+        kunen._scan(5, "kunen", "full", 0, 0, False, identity, jobs, str(path))
+        return path.read_bytes()
+
+    serial = scan(1, tmp_path / "serial.json")
+    assert scan(2, tmp_path / "jobs2.json") == serial
+
+    class ReversingPool:
+        """Finishes the orbits last to first, in this process."""
+
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            return reversed([fn(item) for item in items])
+
+    monkeypatch.setattr(kunen, "Pool", ReversingPool)
+    assert scan(2, tmp_path / "reversed.json") == serial

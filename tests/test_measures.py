@@ -280,3 +280,28 @@ def test_relation_reduces_to_multiplicativity_when_rho_positive():
     multiplicative = check_multiplicative(j, q)
     assert relation.holds == multiplicative.holds
     assert relation.counterexample == multiplicative.counterexample
+
+
+def test_fractions_are_kept_and_other_inputs_converted():
+    # a Fraction is kept as it is, anything else goes through Fraction(x),
+    # and the sign checks still see every value
+    third = Fraction(1, 3)
+    for weights in ([1, 2, 0], ["1", "2", "0"], [Fraction(1), Fraction(2), Fraction(0)]):
+        mu = Measure(weights)
+        assert mu.weights == (1, 2, 0)
+        assert all(type(x) is Fraction for x in mu.weights)
+    for values in ([1, 3], ["1", "3"], ["1/3", 3], [third, Fraction(3)]):
+        c = Cocycle(values)
+        assert c.values in ((1, 3), (third, 3))
+        assert all(type(x) is Fraction for x in c.values)
+    assert Measure([third]).weights[0] is third
+    assert Cocycle([third]).values[0] is third
+    for bad in ([Fraction(-1), 2], ["-1", 2], [1, -third]):
+        with pytest.raises(ValueError, match="negative"):
+            Measure(bad)
+    for zero in ([], [0, 0], [Fraction(0)], ["0", "0/5"]):
+        with pytest.raises(ValueError, match="zero measure"):
+            Measure(zero)
+    for bad in ([1, 0], [Fraction(0)], [third, -third], ["-2"], ["0"]):
+        with pytest.raises(ValueError, match="positive"):
+            Cocycle(bad)

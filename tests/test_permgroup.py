@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from permgroup_oracle import build_bsgs
 from quasilab import permgroup
 from quasilab.cayley import FiniteQuasigroup, cyclic_group, subtraction_mod
 from quasilab.latin import sample_latin_squares
@@ -334,3 +335,95 @@ def test_elements_cap():
     with pytest.raises(ElementCapExceeded) as info:
         g.elements(cap=10)
     assert info.value.cap == 10
+
+
+def _assert_chain_is_the_oracles(gens, degree):
+    base, level_gens, transversals, order = permgroup._build_bsgs(list(gens), degree)
+    want_base, want_levels, want_transversals, want_order = build_bsgs(list(gens), degree)
+    assert base == want_base
+    assert level_gens == want_levels
+    # every element and its inverse, in breadth-first insertion order
+    assert [list(t.items()) for t in transversals] == [
+        list(t.items()) for t in want_transversals
+    ]
+    assert order == want_order
+
+
+def _assert_translation_chains_are_the_oracles(table):
+    # LMlt, RMlt and Mlt
+    q, n = FiniteQuasigroup(table), len(table)
+    left = [q.left_translation(a).images for a in range(n)]
+    right = [q.right_translation(a).images for a in range(n)]
+    for gens in (left, right, left + right):
+        _assert_chain_is_the_oracles(gens, n)
+
+
+def _table(elements, mul):
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[mul(x, y)] for y in elements) for x in elements)
+
+
+def _abelian(*orders):
+    def mul(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, orders))
+
+    return _table(list(itertools.product(*(range(m) for m in orders))), mul)
+
+
+def test_chains_equal_the_oracles_on_seeded_squares():
+    for n in range(1, 9):
+        for square in sample_latin_squares(n, 6, seed=2500 + n):
+            _assert_translation_chains_are_the_oracles(square)
+
+
+def test_chains_equal_the_oracles_on_group_tables():
+    # the loops benchmark's groups, as built and relabelled
+    rng = random.Random(2501)
+    tables = [cyclic_group(n).table for n in range(4, 9)]
+    tables += [_abelian(2, 2), _abelian(2, 4), _abelian(2, 2, 2)]
+    tables.append(_table(list(itertools.permutations(range(3))), compose_images))
+    dihedral = [tuple((k + i) % 4 for i in range(4)) for k in range(4)]
+    dihedral += [tuple((k - i) % 4 for i in range(4)) for k in range(4)]
+    tables.append(_table(dihedral, compose_images))
+    assert sorted(len(t) for t in tables) == [4, 4, 5, 6, 6, 7, 8, 8, 8, 8]
+    for table in tables:
+        n = len(table)
+        for _ in range(3):
+            _assert_translation_chains_are_the_oracles(table)
+            perm = rng.sample(range(n), n)
+            relabelled = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    relabelled[perm[i]][perm[j]] = perm[table[i][j]]
+            table = tuple(map(tuple, relabelled))
+
+
+def test_chains_equal_the_oracles_on_symmetric_and_alternating_generators():
+    for n in range(1, 9):
+        _assert_chain_is_the_oracles(
+            [_cycle(range(min(n, 2)), n).images, _cycle(range(n), n).images], n
+        )
+        if n >= 3:
+            _assert_chain_is_the_oracles(
+                [_cycle(range(3), n).images, _cycle(range(1 - n % 2, n), n).images], n
+            )
+
+
+def test_chains_equal_the_oracles_on_random_generators():
+    rng = random.Random(2502)
+    for degree in range(1, 10):
+        for _ in range(25):
+            gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:  # a sparse generator: a transposition
+                a, b = rng.sample(range(degree), 2) if degree > 1 else (0, 0)
+                images = list(range(degree))
+                images[a], images[b] = images[b], images[a]
+                gens.append(tuple(images))
+            if rng.random() < 0.5:
+                gens.insert(rng.randint(0, len(gens)), tuple(range(degree)))
+            if rng.random() < 0.5:
+                gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+            _assert_chain_is_the_oracles(gens, degree)
+            group = generate([Perm(g) for g in gens])
+            # wrapped without the check, yet every one is a permutation
+            assert all(Perm(s.images) == s for s in group.strong_generators)
