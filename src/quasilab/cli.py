@@ -247,23 +247,23 @@ def _cmd_kunen_scan(args) -> tuple:
             raise ValueError("--counterexample-dir does not apply to --modular")
         rep = modular_scan(args.order, **scan)
         lines = [
-            f"order {rep.order} ({rep.mode}): {rep.total_squares} squares, "
-            f"{rep.n1_count} satisfy {args.builtin}",
-            f"trivial cocycles on all satisfiers: {rep.all_trivial} "
-            f"({rep.trivial_cocycle_count}/{rep.n1_count})",
+            f"order {rep['order']} ({rep['mode']}): {rep['total_squares']} squares, "
+            f"{rep['n1_count']} satisfy {args.builtin}",
+            f"trivial cocycles on all satisfiers: {rep['all_trivial']} "
+            f"({rep['trivial_cocycle_count']}/{rep['n1_count']})",
         ]
-        return rep.to_dict(), lines, None if rep.all_trivial else {"failed": ["all_trivial"]}
+        return rep, lines, None if rep["all_trivial"] else {"failed": ["all_trivial"]}
     rep = kunen_scan(args.order, counterexample_dir=args.counterexample_dir, **scan)
     lines = [
-        f"order {rep.order} ({rep.mode}): {rep.total_squares} squares in "
-        f"{rep.elapsed:.1f}s",
-        f"{args.builtin}-satisfiers: {rep.n1_count}, of which loops: "
-        f"{rep.n1_loop_count}",
-        f"loops: {rep.loop_count} (failing {args.builtin}: {rep.loops_failing_n1})",
-        f"identity-implies-loop holds: {rep.kunen_holds}",
+        f"order {rep['order']} ({rep['mode']}): {rep['total_squares']} squares in "
+        f"{rep['elapsed']:.1f}s",
+        f"{args.builtin}-satisfiers: {rep['n1_count']}, of which loops: "
+        f"{rep['n1_loop_count']}",
+        f"loops: {rep['loop_count']} (failing {args.builtin}: {rep['loops_failing_n1']})",
+        f"identity-implies-loop holds: {rep['kunen_holds']}",
     ]
-    failure = {"counterexample_files": list(rep.counterexample_files)}
-    return rep.to_dict(), lines, None if rep.kunen_holds else failure
+    failure = {"counterexample_files": rep["counterexample_files"]}
+    return rep, lines, None if rep["kunen_holds"] else failure
 
 
 def _cmd_report_validate(args) -> tuple:

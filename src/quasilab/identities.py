@@ -194,8 +194,15 @@ def compile_identity(identity: Identity) -> tuple[list, int, int]:
     writes register k + i as tables[op][a][b] from two earlier registers,
     where tables is (q.table, *q._division_tables()), so op is 0 for *,
     1 for \\ and 2 for /.  The lhs's steps all come first.  Returns the
-    steps and the registers of the two sides.
+    steps and the registers of the two sides.  Each identity is compiled
+    once; every call gets its own list of the steps.
     """
+    program, lhs, rhs = _compile(identity)
+    return list(program), lhs, rhs
+
+
+@functools.cache  # an Identity is frozen and hashable; the steps are kept as a tuple
+def _compile(identity: Identity) -> tuple[tuple, int, int]:
     variables, program = identity.variables, []
 
     def emit(term) -> int:
@@ -205,7 +212,7 @@ def compile_identity(identity: Identity) -> tuple[list, int, int]:
         return len(variables) + len(program) - 1
 
     lhs, rhs = emit(identity.lhs), emit(identity.rhs)
-    return program, lhs, rhs
+    return tuple(program), lhs, rhs
 
 
 def check_identity(q: FiniteQuasigroup, identity: Identity, cap: int = 4) -> CheckResult:

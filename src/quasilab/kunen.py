@@ -48,7 +48,6 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 from .cayley import CayleyError, FiniteQuasigroup, format_table_text, validate_cayley
@@ -68,46 +67,6 @@ FULL_SCAN_DEFAULT_LIMIT = 5
 SAMPLING_NOTE = (
     "samples are reproducible per seed but not uniformly distributed over Latin squares"
 )
-
-
-@dataclass(frozen=True, kw_only=True)
-class _ScanFields:
-    """The fields both scan reports share; each kind adds its own tallies."""
-
-    order: int
-    mode: str
-    total_squares: int
-    n1_count: int
-    identity_name: str
-    jobs: int
-    sample_size: int | None
-    seed: int | None
-    elapsed: float
-
-    def to_dict(self) -> dict:
-        note = SAMPLING_NOTE if self.mode == "sample" else None
-        return {"kind": self.KIND, **asdict(self), "sampling_note": note}
-
-
-@dataclass(frozen=True, kw_only=True)
-class ScanReport(_ScanFields):
-    KIND = "kunen-scan"
-    n1_loop_count: int
-    loop_count: int
-    loops_failing_n1: int
-    kunen_holds: bool
-    counterexample_files: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "counterexample_files": list(self.counterexample_files)}
-
-
-@dataclass(frozen=True, kw_only=True)
-class ModularScanReport(_ScanFields):
-    KIND = "modular-scan"
-    trivial_cocycle_count: int
-    all_trivial: bool
-    dimension_one_count: int
 
 
 def _tally(identity, squares) -> tuple[Counter, list]:
@@ -515,42 +474,47 @@ def _scan_report(
     jobs: int,
     checkpoint: str | None,
     counterexample_dir: str | None = None,
-):
-    """Run the scan and build the kind's report; only a loop scan dumps counterexamples."""
+) -> dict:
+    """Run the scan and return the kind's report document; only a loop scan dumps.
+
+    The keys come in the order --json writes them: kind, the shared
+    fields, elapsed, the kind's own tallies, sampling_note.
+    """
     start = time.perf_counter()
     identity = builtin_identity(identity_name)
     counts, counterexamples = _scan(
         n, kind, mode, sample_size, seed, allow_n6, identity, jobs, checkpoint
     )
-    sampled = mode == "sample"
-    fields = dict(
-        order=n,
-        mode=mode,
-        total_squares=counts["total"],
-        n1_count=counts["n1"],
-        identity_name=identity_name,
-        jobs=jobs,
-        sample_size=sample_size if sampled else None,
-        seed=seed if sampled else None,
-    )
+    n1, n1_loop, loops = counts["n1"], counts["n1_loop"], counts["loop"]
     if kind == "modular":
-        report = ModularScanReport
-        fields.update(
-            trivial_cocycle_count=counts["n1"], all_trivial=True, dimension_one_count=counts["n1"]
-        )
+        own = {"trivial_cocycle_count": n1, "all_trivial": True, "dimension_one_count": n1}
     else:
-        report = ScanReport
-        fields.update(
-            n1_loop_count=counts["n1_loop"],
-            loop_count=counts["loop"],
-            loops_failing_n1=counts["loop"] - counts["n1_loop"],
-            kunen_holds=counts["n1"] == counts["n1_loop"],
-        )
-        if counts["n1"] != counts["n1_loop"]:  # each satisfier not a loop is listed
-            fields["counterexample_files"] = tuple(
-                _dump_counterexamples(counterexamples, n, counterexample_dir, identity_name)
+        own = {
+            "n1_loop_count": n1_loop,
+            "loop_count": loops,
+            "loops_failing_n1": loops - n1_loop,
+            "kunen_holds": n1 == n1_loop,
+            "counterexample_files": [],
+        }
+        if n1 != n1_loop:  # each satisfier not a loop is listed
+            own["counterexample_files"] = _dump_counterexamples(
+                counterexamples, n, counterexample_dir, identity_name
             )
-    return report(**fields, elapsed=time.perf_counter() - start)
+    sampled = mode == "sample"
+    return {
+        "kind": f"{kind}-scan",
+        "order": n,
+        "mode": mode,
+        "total_squares": counts["total"],
+        "n1_count": n1,
+        "identity_name": identity_name,
+        "jobs": jobs,
+        "sample_size": sample_size if sampled else None,
+        "seed": seed if sampled else None,
+        "elapsed": time.perf_counter() - start,  # after the dump, which it times too
+        **own,
+        "sampling_note": SAMPLING_NOTE if sampled else None,
+    }
 
 
 def kunen_scan(
@@ -563,8 +527,11 @@ def kunen_scan(
     checkpoint: str | None = None,
     counterexample_dir: str | None = None,
     identity_name: str = "N1",
-) -> ScanReport:
-    """Scan all (or sampled) order-n Latin squares for the Kunen property.
+) -> dict:
+    """Scan all (or sampled) order-n Latin squares; return the kunen-scan report document.
+
+    The document is the JSON object that kunen-scan --json writes
+    (reports.validate_report checks it).
 
     mode "full" covers every square (n <= 5 unless allow_n6; n = 6 is
     ~8.1e8 squares) by the pruned search of the module docstring.  mode
@@ -588,8 +555,11 @@ def modular_scan(
     identity_name: str = "N1",
     jobs: int = 1,
     checkpoint: str | None = None,
-) -> ModularScanReport:
-    """For each identity-satisfying square, tally trivial cocycles.
+) -> dict:
+    """Tally the trivial cocycles of each satisfier; return the modular-scan report document.
+
+    The document is the JSON object that kunen-scan --modular --json
+    writes (reports.validate_report checks it).
 
     Every Latin square has trivial cocycles and a one-dimensional
     invariant measure space (measures.solve_quasi_invariant), the finite

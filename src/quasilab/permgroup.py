@@ -55,14 +55,6 @@ def _strip(g: tuple, base, transversals):
     return g, len(base)
 
 
-def _chain_order(transversals) -> int:
-    """The product of the transversal sizes, an exact int."""
-    order = 1
-    for trans in transversals:
-        order *= len(trans)
-    return order
-
-
 def _build_bsgs(gens: list[tuple], degree: int):
     identity = tuple(range(degree))
     gens = [g for g in dict.fromkeys(gens) if g != identity]
@@ -86,10 +78,12 @@ def _build_bsgs(gens: list[tuple], degree: int):
     ]
     # each strong generator is inverted once, when it joins the chain
     inverse = {g: invert_images(g) for g in gens}
+    order = 1  # the chain's order: the product of the transversal sizes
 
     # A non-empty base means degree >= 2, so itemgetter below always takes
     # at least two indices and returns a tuple.
     def recompute_transversal(i: int) -> None:
+        nonlocal order
         b = base[i]
         trans = {b: (identity, identity)}
         queue = [b]
@@ -102,6 +96,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
                     # s u, and (s u)^-1 = u^-1 s^-1
                     trans[img] = (itemgetter(*u)(s), itemgetter(*sinv)(uinv))
                     queue.append(img)
+        order = order // len(transversals[i]) * len(trans)
         transversals[i] = trans
 
     for level in range(len(base)):
@@ -119,7 +114,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
     even = all((degree - len(orbits([g], degree))) % 2 == 0 for g in gens)
     bound = math.factorial(degree) // (2 if even else 1)
     i = len(base) - 1
-    while i >= 0 and _chain_order(transversals) != bound:
+    while i >= 0 and order != bound:
         trans = transversals[i]
         # a Schreier generator of level i fixes base[:i + 1]: sift it below
         deeper_base, deeper = base[i + 1:], transversals[i + 1:]
@@ -164,7 +159,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
         if not restart:
             i -= 1
 
-    return base, level_gens, transversals, _chain_order(transversals)
+    return base, level_gens, transversals, order
 
 
 class PermGroup:

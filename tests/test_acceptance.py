@@ -249,25 +249,25 @@ def test_criterion_7_loop_forcing_scan_order_5(capsys):
     elapsed = time.perf_counter() - start
     independent = count_latin_squares_memoized(5)
     ok = (
-        report.total_squares == KNOWN_COUNTS[5]
+        report["total_squares"] == KNOWN_COUNTS[5]
         and independent == KNOWN_COUNTS[5]
-        and report.n1_count == report.n1_loop_count
-        and report.counterexample_files == ()
-        and report.kunen_holds
+        and report["n1_count"] == report["n1_loop_count"]
+        and report["counterexample_files"] == []
+        and report["kunen_holds"]
         and elapsed < 600.0
     )
     _announce(
         capsys,
         7,
         ok,
-        f"order-5 scan: {report.total_squares} squares (independent count "
-        f"{independent}), {report.n1_count} satisfiers, all loops, "
+        f"order-5 scan: {report['total_squares']} squares (independent count "
+        f"{independent}), {report['n1_count']} satisfiers, all loops, "
         f"0 counterexamples, {elapsed:.1f}s with 4 workers (limit 600s)",
     )
-    assert report.total_squares == KNOWN_COUNTS[5] == independent
-    assert report.n1_count == report.n1_loop_count
-    assert report.kunen_holds
-    assert report.counterexample_files == ()
+    assert report["total_squares"] == KNOWN_COUNTS[5] == independent
+    assert report["n1_count"] == report["n1_loop_count"]
+    assert report["kunen_holds"]
+    assert report["counterexample_files"] == []
     assert elapsed < 600.0
 
 

@@ -152,6 +152,11 @@ def test_parse_errors_carry_position():
     with pytest.raises(TableFormatError):
         parse_table_text("2\na b\nb c\n")
 
+    # an order below 1, on the first line that is not a comment
+    with pytest.raises(TableFormatError, match="order must be >= 1, got 0") as info:
+        parse_table_text("# empty\n0\n")
+    assert (info.value.line, info.value.column) == (2, 1)
+
 
 def test_parse_an_invalid_latin_square_is_not_a_format_error():
     # shape is fine, content repeats in a row: CayleyError, not

@@ -20,7 +20,7 @@ import quasilab
 from quasilab import cli
 from quasilab.cli import main
 from quasilab.identities import builtin_identity, pretty
-from quasilab.kunen import kunen_scan
+from quasilab.kunen import kunen_scan, modular_scan
 from quasilab.reports import validate_report
 
 Z3_TEXT = "3\n0 1 2\n1 2 0\n2 0 1\n"
@@ -78,6 +78,16 @@ def test_validate_latin_violation_exits_1(tables, capsys):
     failure = _last_json_line(capsys.readouterr().out)
     assert failure["reason"] == "row-duplicate"
     assert failure["row"] == 0
+
+
+def test_validate_column_duplicate_names_the_column(tmp_path, capsys):
+    p = tmp_path / "columns.tbl"
+    p.write_text("2\n0 1\n0 1\n")  # every row is a permutation; column 0 is not
+    out = str(tmp_path / "columns.json")
+    assert main(["validate", "--table", str(p), "--json", out]) == 1
+    failure = {"reason": "column-duplicate", "col": 0, "value": 0}
+    assert _last_json_line(capsys.readouterr().out) == failure
+    assert _load_report(out) == {"kind": "validate", "valid": False, "failure": failure}
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -325,6 +335,41 @@ def test_kunen_scan_identity_override_failure_path(tmp_path, capsys):
     doc = _load_report(out)
     assert not doc["kunen_holds"]
     assert doc["counterexample_files"] == payload["counterexample_files"]
+
+
+# the key order of the scan reports' --json files
+SCAN_KEYS = {
+    "shared": ["order", "mode", "total_squares", "n1_count", "identity_name", "jobs",
+               "sample_size", "seed"],
+    "kunen": ["n1_loop_count", "loop_count", "loops_failing_n1", "kunen_holds",
+              "counterexample_files"],
+    "modular": ["trivial_cocycle_count", "all_trivial", "dimension_one_count"],
+}
+
+
+@pytest.mark.parametrize("modular", [False, True])
+@pytest.mark.parametrize("sample", [[], ["--sample", "7", "--seed", "3"]])
+@pytest.mark.parametrize("name", ["N1", "commutativity"])
+def test_a_scan_returns_the_document_the_cli_writes(modular, sample, name, tmp_path, capsys):
+    """The library's result is the --json report: valid, plain JSON, the same keys in order."""
+    dumps = str(tmp_path / "dumps")
+    scan = {"mode": "sample", "sample_size": 7, "seed": 3} if sample else {}
+    if modular:
+        doc = modular_scan(3, identity_name=name, **scan)
+    else:
+        doc = kunen_scan(3, identity_name=name, counterexample_dir=dumps, **scan)
+    assert validate_report(doc) == ("modular-scan" if modular else "kunen-scan")
+    assert json.loads(json.dumps(doc)) == doc
+    own = SCAN_KEYS["modular" if modular else "kunen"]
+    assert list(doc) == ["kind", *SCAN_KEYS["shared"], "elapsed", *own, "sampling_note"]
+    out = tmp_path / "scan.json"
+    argv = ["kunen-scan", "--order", "3", "--builtin", name, "--json", str(out), *sample]
+    argv += ["--modular"] if modular else ["--counterexample-dir", dumps]
+    assert main(argv) == (0 if doc.get("kunen_holds", True) else 1)
+    capsys.readouterr()
+    written = json.loads(out.read_text())
+    assert list(written) == list(doc)
+    assert {**written, "elapsed": None} == {**doc, "elapsed": None}
 
 
 def test_kunen_scan_sample_and_limits(tmp_path, capsys):
@@ -619,7 +664,7 @@ def test_a_satisfier_count_alone_resumes_only_a_modular_scan(
     assert list(tmp_path.rglob("*.tbl")) == []
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(tmp_path):
     # a fresh interpreter that finds the package where this one did
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasilab.__file__))}
     run = partial(subprocess.run, capture_output=True, text=True, env=env, timeout=60)
@@ -627,6 +672,13 @@ def test_python_dash_m_runs_the_cli():
     usage = run([sys.executable, "-m", "quasilab", "kunen-scan", "--order", "0"])
     assert usage.returncode == 2
     assert "order must be >= 1" in usage.stderr
+    quiet = run([sys.executable, "-m", "quasilab", "kunen-scan", "--order", "3", "--quiet"])
+    assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, "", "")
+    short = tmp_path / "short.tbl"
+    short.write_text("3\n0 1 2\n")
+    bad = run([sys.executable, "-m", "quasilab", "validate", "--table", str(short)])
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("error: ")
 
 
 def test_report_validate_round_trip(tables, tmp_path, capsys):

@@ -207,6 +207,27 @@ def test_the_program_lists_the_lhs_steps_first():
     assert compile_identity(parse_identity("x = (y*x)")) == ([(0, 1, 0)], 0, 2)
 
 
+def test_repeated_checks_compile_an_identity_once(monkeypatch):
+    """The compiler reads each step's opcode once per identity, not once per check."""
+    reads = []
+
+    class CountingOpcodes(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return dict.__getitem__(self, key)
+
+    monkeypatch.setattr(identities, "_OPCODES", CountingOpcodes(identities._OPCODES))
+    # variable names no other test uses, so no earlier compilation is reused
+    identity = parse_identity("((once_a*once_b)*once_a) = (once_a*(once_b*once_a))")
+    for q in (cyclic_group(3), subtraction_mod(3), cyclic_group(3)):
+        check_identity(q, identity)
+    assert len(reads) == 4  # four steps, compiled on the first check only
+    program, lhs, rhs = compile_identity(identity)
+    program.clear()  # a caller's copy: the compiled program stays whole
+    assert compile_identity(identity) == ([(0, 0, 1), (0, 2, 0), (0, 1, 0), (0, 0, 4)], 3, 5)
+    assert len(reads) == 4
+
+
 def _all_squares(n) -> list:
     squares = []
     enumerate_latin_squares(n, squares.append)

@@ -54,12 +54,12 @@ N1_TALLIES = {
 def test_full_scans_orders_1_to_4():
     for n, expected in N1_TALLIES.items():
         r = kunen_scan(n)
-        got = (r.total_squares, r.n1_count, r.loop_count, r.n1_loop_count)
+        got = (r["total_squares"], r["n1_count"], r["loop_count"], r["n1_loop_count"])
         assert got == expected
-        assert r.kunen_holds
-        assert r.loops_failing_n1 == expected[2] - expected[3]
-        assert r.counterexample_files == ()
-        assert r.mode == "full"
+        assert r["kunen_holds"]
+        assert r["loops_failing_n1"] == expected[2] - expected[3]
+        assert r["counterexample_files"] == []
+        assert r["mode"] == "full"
 
 
 SHARED_FIELDS = {"kind", "order", "mode", "total_squares", "n1_count", "identity_name",
@@ -74,12 +74,12 @@ def test_scan_report_is_schema_valid():
         modular_scan: {"trivial_cocycle_count", "all_trivial", "dimension_one_count"},
     }
     for scan, kind in ((kunen_scan, "kunen-scan"), (modular_scan, "modular-scan")):
-        doc = scan(3, identity_name="moufang_left").to_dict()
+        doc = scan(3, identity_name="moufang_left")
         assert validate_report(doc) == kind
         assert doc.keys() == SHARED_FIELDS | own[scan]
         assert doc["sampling_note"] is None
         assert (doc["identity_name"], doc["jobs"], doc["seed"]) == ("moufang_left", 1, None)
-        doc = scan(5, mode="sample", sample_size=25, seed=1).to_dict()
+        doc = scan(5, mode="sample", sample_size=25, seed=1)
         assert validate_report(doc) == kind
         assert "not uniformly" in doc["sampling_note"]
         assert (doc["sample_size"], doc["seed"]) == (25, 1)
@@ -88,10 +88,12 @@ def test_scan_report_is_schema_valid():
 def test_sample_mode_is_deterministic():
     a = kunen_scan(5, mode="sample", sample_size=40, seed=9)
     b = kunen_scan(5, mode="sample", sample_size=40, seed=9)
-    assert (a.total_squares, a.n1_count, a.loop_count) == (40, b.n1_count, b.loop_count)
-    assert a.sample_size == 40
-    assert a.seed == 9
-    assert a.kunen_holds  # no sampled square can violate the theorem
+    assert (a["total_squares"], a["n1_count"], a["loop_count"]) == (
+        40, b["n1_count"], b["loop_count"]
+    )
+    assert a["sample_size"] == 40
+    assert a["seed"] == 9
+    assert a["kunen_holds"]  # no sampled square can violate the theorem
 
 
 def test_order_limits():
@@ -118,7 +120,7 @@ def test_order_limits():
                 scan(3, mode="sample", sample_size=size)
     # sampling at order 6 needs no flag
     r = kunen_scan(6, mode="sample", sample_size=5, seed=0)
-    assert r.total_squares == 5
+    assert r["total_squares"] == 5
 
 
 def test_unknown_identity_name():
@@ -130,11 +132,12 @@ def test_commutativity_scan_dumps_counterexamples(tmp_path):
     # commutative non-loops exist at order 3, so scanning with the
     # commutativity identity exercises the failure path end to end
     r = kunen_scan(3, identity_name="commutativity", counterexample_dir=str(tmp_path))
-    assert (r.total_squares, r.n1_count, r.loop_count, r.n1_loop_count) == (12, 6, 3, 3)
-    assert not r.kunen_holds
-    assert len(r.counterexample_files) == 3
+    got = (r["total_squares"], r["n1_count"], r["loop_count"], r["n1_loop_count"])
+    assert got == (12, 6, 3, 3)
+    assert not r["kunen_holds"]
+    assert len(r["counterexample_files"]) == 3
     ident = builtin_identity("commutativity")
-    for path in r.counterexample_files:
+    for path in r["counterexample_files"]:
         assert os.path.dirname(path) == str(tmp_path)
         with open(path) as fh:
             q = parse_table_text(fh.read())
@@ -144,9 +147,9 @@ def test_commutativity_scan_dumps_counterexamples(tmp_path):
 
 def test_moufang_left_scan_also_forces_loops():
     r = kunen_scan(4, identity_name="moufang_left")
-    assert (r.n1_count, r.n1_loop_count) == (16, 16)
-    assert r.kunen_holds
-    assert r.identity_name == "moufang_left"
+    assert (r["n1_count"], r["n1_loop_count"]) == (16, 16)
+    assert r["kunen_holds"]
+    assert r["identity_name"] == "moufang_left"
 
 
 N1_TEXT = pretty(builtin_identity("N1"))
@@ -172,9 +175,7 @@ def _key(row) -> str:
 
 
 def _fields(report) -> dict:
-    doc = report.to_dict()
-    del doc["elapsed"]
-    return doc
+    return {k: v for k, v in report.items() if k != "elapsed"}
 
 
 def test_checkpoint_round_trip(tmp_path, monkeypatch):
@@ -218,14 +219,14 @@ def test_checkpoint_for_other_scan_is_ignored(tmp_path, monkeypatch):
     with open(path, "w") as fh:
         json.dump({"order": 3, "identity": "commutativity", "completed": {"bad": {}}}, fh)
     r = kunen_scan(3, checkpoint=path)  # N1 scan: stale file must not poison it
-    assert (r.total_squares, r.n1_count) == (12, 3)
+    assert (r["total_squares"], r["n1_count"]) == (12, 3)
 
     # the file now holds a loop scan; a modular scan of the same order and
     # identity must rescan every row rather than reuse the loop tallies
     calls = _count_units(monkeypatch)
     m = modular_scan(3, checkpoint=path)
     assert len(calls) == 4  # every orbit of the 6 first rows
-    assert (m.total_squares, m.n1_count, m.trivial_cocycle_count) == (12, 3, 3)
+    assert (m["total_squares"], m["n1_count"], m["trivial_cocycle_count"]) == (12, 3, 3)
     with open(path) as fh:
         assert json.load(fh)["kind"] == "modular"
 
@@ -254,11 +255,11 @@ def test_interrupted_scan_resumes_to_the_same_report(scan, tmp_path, monkeypatch
 def test_parallel_scan_matches_serial(tmp_path):
     serial = kunen_scan(4, jobs=1)
     parallel = kunen_scan(4, jobs=2)
-    assert parallel.jobs == 2
-    assert (parallel.total_squares, parallel.n1_count, parallel.loop_count) == (
-        serial.total_squares,
-        serial.n1_count,
-        serial.loop_count,
+    assert parallel["jobs"] == 2
+    assert (parallel["total_squares"], parallel["n1_count"], parallel["loop_count"]) == (
+        serial["total_squares"],
+        serial["n1_count"],
+        serial["loop_count"],
     )
     path = str(tmp_path / "modular.json")
     parallel = modular_scan(4, jobs=2, checkpoint=path)
@@ -269,19 +270,19 @@ def test_parallel_scan_matches_serial(tmp_path):
 
 def test_modular_scan_order_3():
     m = modular_scan(3)
-    assert m.total_squares == 12
-    assert m.n1_count == 3
-    assert m.trivial_cocycle_count == 3
-    assert m.all_trivial
-    assert m.dimension_one_count == 3
-    assert validate_report(m.to_dict()) == "modular-scan"
+    assert m["total_squares"] == 12
+    assert m["n1_count"] == 3
+    assert m["trivial_cocycle_count"] == 3
+    assert m["all_trivial"]
+    assert m["dimension_one_count"] == 3
+    assert validate_report(m) == "modular-scan"
 
 
 def test_modular_scan_sample_mode():
     m = modular_scan(5, mode="sample", sample_size=30, seed=2)
-    assert m.total_squares == 30
-    assert m.all_trivial
-    assert m.trivial_cocycle_count == m.n1_count
+    assert m["total_squares"] == 30
+    assert m["all_trivial"]
+    assert m["trivial_cocycle_count"] == m["n1_count"]
 
 
 # orbits of the first rows under the relabellings fixing 0, n = 1..6
@@ -416,11 +417,11 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
     view = _per_row_view(n, completed)
     assert _without_loops(view) == _without_loops(walk["kunen"])
     if kind == "kunen":
-        assert sum(entry.get("loop", 0) for entry in walk[kind].values()) == report.loop_count
+        assert sum(entry.get("loop", 0) for entry in walk[kind].values()) == report["loop_count"]
     if (n, kind, name) == (5, "kunen", "N1"):
         # no walk reaches order 6; R(6) = 9,408 is the published count
         # (McKay and Wanless 2005) of the reduced squares
-        assert kunen_scan(6, allow_n6=True).loop_count == 6 * 9408
+        assert kunen_scan(6, allow_n6=True)["loop_count"] == 6 * 9408
     if kind == "modular":
         # the scan counts satisfiers and takes their measures by theorem;
         # the orbit oracle solves each satisfier on its own
@@ -428,8 +429,8 @@ def test_reduced_scan_matches_the_unreduced_walk(n, kind, name, tmp_path):
         for key, tally in measures.items():
             n1 = completed[key].get("n1", 0)
             assert tally["trivial"] == tally["dimension_one"] == n1
-        assert sum(t["trivial"] for t in measures.values()) == report.trivial_cocycle_count
-        assert sum(t["dimension_one"] for t in measures.values()) == report.dimension_one_count
+        assert sum(t["trivial"] for t in measures.values()) == report["trivial_cocycle_count"]
+        assert sum(t["dimension_one"] for t in measures.values()) == report["dimension_one_count"]
     if name == "commutativity":
         # 3 and 80 commutative non-loops; at order 4 rows hold several, so
         # the relabelled counterexamples must also be sorted
@@ -489,10 +490,10 @@ def test_full_scan_counts_match_group_theory(n):
     0, whose table is a reduced square.
     """
     r = kunen_scan(n)
-    assert r.n1_count == r.n1_loop_count
-    assert r.n1_count == sum(factorial(n) // _automorphism_count(g) for g in GROUPS[n])
+    assert r["n1_count"] == r["n1_loop_count"]
+    assert r["n1_count"] == sum(factorial(n) // _automorphism_count(g) for g in GROUPS[n])
     reduced = count_latin_squares_memoized(n) // (factorial(n) * factorial(n - 1))
-    assert r.loop_count == n * reduced
+    assert r["loop_count"] == n * reduced
 
 
 def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
@@ -503,7 +504,7 @@ def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
     # a sample checks whole squares, on which divisions are defined
     r = kunen_scan(3, mode="sample", sample_size=5, identity_name="left_division",
                    counterexample_dir=str(tmp_path))
-    assert r.n1_count == 5
+    assert r["n1_count"] == 5
 
 
 def _pruned(n, row, identity) -> list:
@@ -674,7 +675,7 @@ def test_the_order_5_search_fills_few_cells(monkeypatch):
     for name in ("N1", "moufang_left"):
         filled.clear()
         r = kunen_scan(5, identity_name=name)
-        assert (r.n1_count, r.n1_loop_count, r.loop_count) == (30, 30, 280)
+        assert (r["n1_count"], r["n1_loop_count"], r["loop_count"]) == (30, 30, 280)
         assert 0 < len(filled) < 2712 // 2, name
 
 
@@ -694,8 +695,8 @@ def test_a_single_unit_runs_without_a_pool(tmp_path, monkeypatch):
     resumed = kunen_scan(4, jobs=2, checkpoint=path)
     assert _fields(resumed) == {**_fields(serial), "jobs": 2}
     r = kunen_scan(1, jobs=2)  # order 1 is a single orbit
-    assert (r.jobs, r.n1_count, r.loop_count) == (2, 1, 1)
-    assert modular_scan(1, jobs=2).n1_count == 1
+    assert (r["jobs"], r["n1_count"], r["loop_count"]) == (2, 1, 1)
+    assert modular_scan(1, jobs=2)["n1_count"] == 1
     with pytest.raises(RuntimeError, match="pool"):  # two units still share one
         kunen_scan(2, jobs=2)
 
@@ -720,7 +721,7 @@ def test_the_pool_never_outnumbers_the_orbits_left(tmp_path, monkeypatch):
     monkeypatch.setattr(kunen, "Pool", RecordingPool)
     serial = kunen_scan(4)
     assert _fields(kunen_scan(4, jobs=5000)) == {**_fields(serial), "jobs": 5000}
-    assert modular_scan(4, jobs=5000).n1_count == serial.n1_count
+    assert modular_scan(4, jobs=5000)["n1_count"] == serial["n1_count"]
     kunen_scan(4, jobs=3)
     assert sizes == [7, 7, 3]  # order 4 has 7 orbits of first rows
 
@@ -806,7 +807,7 @@ def test_a_loop_checkpoint_with_loop_counts_resumes(tmp_path, monkeypatch):
 def _dumped(report) -> list:
     """The report's counterexample files, by name and text, in its order."""
     files = []
-    for path in report.counterexample_files:
+    for path in report["counterexample_files"]:
         with open(path) as fh:
             files.append((os.path.basename(path), fh.read()))
     return files
@@ -868,11 +869,11 @@ def test_a_modular_scan_counts_no_loops_and_relabels_nothing(monkeypatch):
 
     monkeypatch.setattr(kunen, "conjugate", refuse)
     m = modular_scan(5)
-    assert (m.n1_count, m.trivial_cocycle_count, m.dimension_one_count) == (30, 30, 30)
+    assert (m["n1_count"], m["trivial_cocycle_count"], m["dimension_one_count"]) == (30, 30, 30)
     # 80 of the commutative squares of order 4 are non-loops (the loop scan
     # relabels each into its row), and all 16 loops are abelian groups
     m = modular_scan(4, identity_name="commutativity")
-    assert (m.n1_count, m.trivial_cocycle_count, m.all_trivial) == (96, 96, True)
+    assert (m["n1_count"], m["trivial_cocycle_count"], m["all_trivial"]) == (96, 96, True)
 
 
 @st.composite

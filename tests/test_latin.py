@@ -113,6 +113,20 @@ def test_enumeration_order_limit():
     with pytest.raises(OrderTooLarge) as info:
         enumerate_latin_squares(FULL_ENUMERATION_LIMIT + 1)
     assert info.value.order == 7
+    row = tuple(range(FULL_ENUMERATION_LIMIT + 1))
+    with pytest.raises(OrderTooLarge) as info:
+        enumerate_with_first_row(FULL_ENUMERATION_LIMIT + 1, row)
+    assert (info.value.order, info.value.limit) == (7, FULL_ENUMERATION_LIMIT)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_orders_below_1_are_refused(n):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        enumerate_latin_squares(n)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        count_latin_squares_memoized(n)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        sample_latin_squares(n, 1, seed=0)
 
 
 def test_sampling_determinism():

@@ -47,6 +47,10 @@ def test_alternating_group_membership():
     assert Perm((1, 0, 2, 3)) not in g
     assert Perm((1, 2, 0, 3)) in g
     assert Perm((2, 0, 1, 3)) in g  # inverse of a generator
+    # a permutation of another degree is refused, not answered
+    for other in (Perm((1, 2, 0)), Perm.identity(5)):
+        with pytest.raises(DegreeMismatch, match="group degree 4"):
+            g.membership(other)
 
 
 def test_cyclic_group_order_and_orbit():
