@@ -136,7 +136,8 @@ def validate_cayley(raw, labels=None) -> FiniteQuasigroup:
     """Validate a square integer array as a Latin square.
 
     Raises OutOfRange / RowDuplicate / ColumnDuplicate with the first
-    offending position (row-major scan for range, then rows, then columns).
+    offending position (row-major scan for range, then rows, then
+    columns); only a Latin table has its labels checked.
     """
     n = len(raw)
     if n < 1:
@@ -152,10 +153,6 @@ def validate_cayley(raw, labels=None) -> FiniteQuasigroup:
             if not 0 <= entry < n:
                 raise OutOfRange(entry, n)
         rows.append(row)
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise CayleyError("labels must be n distinct strings")
     for i, row in enumerate(rows):
         seen = set()
         for entry in row:
@@ -168,6 +165,10 @@ def validate_cayley(raw, labels=None) -> FiniteQuasigroup:
             if row[j] in seen:
                 raise ColumnDuplicate(j, row[j])
             seen.add(row[j])
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != n or len(set(labels)) != n:
+            raise CayleyError("labels must be n distinct strings")
     return FiniteQuasigroup(tuple(rows), labels)
 
 

@@ -228,15 +228,9 @@ def _cmd_axb(args) -> tuple:
 
 
 def _cmd_kunen_scan(args) -> tuple:
-    sampled = args.sample is not None
-    if not sampled and args.seed is not None:
-        raise ValueError("--seed applies only to a --sample scan")
-    if sampled and args.allow_n6:
-        raise ValueError("--allow-n6 applies only to a full scan")
     scan = dict(
-        mode="sample" if sampled else "full",
-        sample_size=args.sample,
-        seed=0 if args.seed is None else args.seed,
+        sample=args.sample,
+        seed=args.seed,
         allow_n6=args.allow_n6,
         identity_name=args.builtin,
         jobs=args.jobs,

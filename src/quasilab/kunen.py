@@ -366,43 +366,49 @@ def _write_checkpoint(path: str, header: dict, completed: dict):
 def _scan(
     n: int,
     kind: str,
-    mode: str,
-    sample_size: int,
-    seed: int,
-    allow_n6: bool,
     identity,
-    jobs: int,
-    checkpoint: str | None,
+    *,
+    sample: int | None = None,
+    seed: int | None = None,
+    allow_n6: bool = False,
+    jobs: int = 1,
+    checkpoint: str | None = None,
 ) -> tuple:
     """Tally the squares; return counts and an iterable of counterexamples.
 
+    sample=K draws K seeded squares (seed None means 0) and tallies each
+    directly; sample=None scans every square.  A request that a scan
+    would ignore is refused with ValueError: a seed on a full scan,
+    allow_n6 (which lifts only the full-scan order cap) on a sample, and
+    a checkpoint or jobs > 1 on a sample, which is one unit of work.
     A full scan runs one work unit per first-row orbit, records each
     finished unit's rows to the checkpoint, labelled by kind, at once, and
     leaves a unit pending while any of its rows is missing.  A checkpoint
     whose other rows list squares, as earlier versions wrote, is written
-    back at once in the current layout, even with no unit pending.  A
-    sample scan tallies every sampled square directly, and a full scan
-    sets the loop count by the theorem of the module docstring after the
-    merge.
+    back at once in the current layout, even with no unit pending.  A full
+    scan sets the loop count by the theorem of the module docstring after
+    the merge.
     """
+    if sample is None and seed is not None:
+        raise ValueError("seed applies only to a sample scan")
+    if sample is not None and allow_n6:
+        raise ValueError("allow_n6 applies only to a full scan")
     if n < 1:
         raise ValueError("order must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if mode == "sample":
-        if sample_size < 1:
-            raise ValueError(f"sample size must be >= 1, got {sample_size}")
+    if sample is not None:
+        if sample < 1:
+            raise ValueError(f"sample must be >= 1, got {sample}")
         if checkpoint is not None or jobs > 1:
             raise ValueError(
                 "a sample scan is a single unit of work: it takes neither a "
                 "checkpoint nor more than one job"
             )
-        squares = sample_latin_squares(n, sample_size, seed)
+        squares = sample_latin_squares(n, sample, seed or 0)
         counts, counterexamples = _tally(identity, squares)
         counts["total"] = len(squares)
         return counts, counterexamples
-    if mode != "full":
-        raise ValueError(f"unknown mode {mode!r}")
     if n > FULL_ENUMERATION_LIMIT:
         raise OrderTooLarge(n, FULL_ENUMERATION_LIMIT)
     if n > FULL_SCAN_DEFAULT_LIMIT and not allow_n6:
@@ -463,28 +469,17 @@ def _dump_counterexamples(squares, order: int, directory: str | None, identity_n
     return paths
 
 
-def _scan_report(
-    kind: str,
-    n: int,
-    mode: str,
-    sample_size: int,
-    seed: int,
-    allow_n6: bool,
-    identity_name: str,
-    jobs: int,
-    checkpoint: str | None,
-    counterexample_dir: str | None = None,
-) -> dict:
+def _scan_report(kind: str, n: int, identity_name: str, counterexample_dir=None, **scan) -> dict:
     """Run the scan and return the kind's report document; only a loop scan dumps.
 
-    The keys come in the order --json writes them: kind, the shared
-    fields, elapsed, the kind's own tallies, sampling_note.
+    scan holds _scan's keyword arguments.  The keys come in the order
+    --json writes them: kind, the shared fields, elapsed, the kind's own
+    tallies, sampling_note.  mode is "sample" exactly when sample is
+    given, and a sample given no seed reports seed 0.
     """
     start = time.perf_counter()
     identity = builtin_identity(identity_name)
-    counts, counterexamples = _scan(
-        n, kind, mode, sample_size, seed, allow_n6, identity, jobs, checkpoint
-    )
+    counts, counterexamples = _scan(n, kind, identity, **scan)
     n1, n1_loop, loops = counts["n1"], counts["n1_loop"], counts["loop"]
     if kind == "modular":
         own = {"trivial_cocycle_count": n1, "all_trivial": True, "dimension_one_count": n1}
@@ -500,17 +495,17 @@ def _scan_report(
             own["counterexample_files"] = _dump_counterexamples(
                 counterexamples, n, counterexample_dir, identity_name
             )
-    sampled = mode == "sample"
+    sampled = scan["sample"] is not None
     return {
         "kind": f"{kind}-scan",
         "order": n,
-        "mode": mode,
+        "mode": "sample" if sampled else "full",
         "total_squares": counts["total"],
         "n1_count": n1,
         "identity_name": identity_name,
-        "jobs": jobs,
-        "sample_size": sample_size if sampled else None,
-        "seed": seed if sampled else None,
+        "jobs": scan["jobs"],
+        "sample_size": scan["sample"],
+        "seed": (scan["seed"] or 0) if sampled else None,
         "elapsed": time.perf_counter() - start,  # after the dump, which it times too
         **own,
         "sampling_note": SAMPLING_NOTE if sampled else None,
@@ -519,42 +514,43 @@ def _scan_report(
 
 def kunen_scan(
     n: int,
-    mode: str = "full",
-    sample_size: int = 1000,
-    seed: int = 0,
+    *,
+    sample: int | None = None,
+    seed: int | None = None,
     allow_n6: bool = False,
     jobs: int = 1,
     checkpoint: str | None = None,
-    counterexample_dir: str | None = None,
     identity_name: str = "N1",
+    counterexample_dir: str | None = None,
 ) -> dict:
     """Scan all (or sampled) order-n Latin squares; return the kunen-scan report document.
 
     The document is the JSON object that kunen-scan --json writes
     (reports.validate_report checks it).
 
-    mode "full" covers every square (n <= 5 unless allow_n6; n = 6 is
-    ~8.1e8 squares) by the pruned search of the module docstring.  mode
-    "sample" draws sample_size seeded squares and takes neither jobs > 1
-    nor a checkpoint.  identity_name picks the identity from the builtin
-    catalog, so the scan can be repeated with e.g. the classical left
-    Moufang identity.
+    With sample=None the scan covers every square (n <= 5 unless
+    allow_n6; n = 6 is ~8.1e8 squares) by the pruned search of the module
+    docstring.  sample=K (K >= 1) draws K squares seeded by seed, 0 when
+    seed is None.  What a scan would ignore raises ValueError: seed on a
+    full scan, and allow_n6, jobs > 1 or a checkpoint on a sample.
+    identity_name picks the identity from the builtin catalog, so the
+    scan can be repeated with e.g. the classical left Moufang identity.
     """
     return _scan_report(
-        "kunen", n, mode, sample_size, seed, allow_n6, identity_name, jobs, checkpoint,
-        counterexample_dir,
+        "kunen", n, identity_name, counterexample_dir, sample=sample, seed=seed,
+        allow_n6=allow_n6, jobs=jobs, checkpoint=checkpoint,
     )
 
 
 def modular_scan(
     n: int,
-    mode: str = "full",
-    sample_size: int = 1000,
-    seed: int = 0,
+    *,
+    sample: int | None = None,
+    seed: int | None = None,
     allow_n6: bool = False,
-    identity_name: str = "N1",
     jobs: int = 1,
     checkpoint: str | None = None,
+    identity_name: str = "N1",
 ) -> dict:
     """Tally the trivial cocycles of each satisfier; return the modular-scan report document.
 
@@ -564,9 +560,10 @@ def modular_scan(
     Every Latin square has trivial cocycles and a one-dimensional
     invariant measure space (measures.solve_quasi_invariant), the finite
     instance of cocycle collapse, so the scan is kunen_scan's, and each
-    satisfier counts in all three tallies.  jobs and checkpoint work as in
-    kunen_scan.
+    satisfier counts in all three tallies.  sample, seed, allow_n6, jobs
+    and checkpoint work, and are refused, as in kunen_scan.
     """
     return _scan_report(
-        "modular", n, mode, sample_size, seed, allow_n6, identity_name, jobs, checkpoint
+        "modular", n, identity_name, sample=sample, seed=seed, allow_n6=allow_n6,
+        jobs=jobs, checkpoint=checkpoint,
     )

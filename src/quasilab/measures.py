@@ -166,8 +166,13 @@ def solve_quasi_invariant(q: FiniteQuasigroup) -> QuasiInvariantSolution:
 
 
 def verify_cocycle_relation(q: FiniteQuasigroup, j: Cocycle, rho: Cocycle) -> PairCheck:
-    """Check j(x*y) rho(y) = j(x) j(y) rho(y) for all pairs, exactly."""
+    """Check j(x*y) rho(y) = j(x) j(y) rho(y) for all pairs, exactly.
+
+    j and rho each need one value per element: DegreeMismatch otherwise.
+    """
     n = q.order
+    if len(j) != n or len(rho) != n:
+        raise DegreeMismatch(f"cocycle lengths {len(j)}, {len(rho)} != order {n}")
     for x in range(n):
         for y in range(n):
             if j[q.table[x][y]] * rho[y] != j[x] * j[y] * rho[y]:

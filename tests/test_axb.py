@@ -316,6 +316,21 @@ def test_pulled_back_support_stays_positive_under_translation():
     assert integrate(f, ("right", AffineElement(1.0, 2.0))) > 0.0
 
 
+def test_integrate_refuses_what_has_no_integral():
+    f = TestFunction(2.0, 0.0, 0.5, 0.5)
+    g = AffineElement(2.0, 1.0)
+    with pytest.raises(ValueError, match="'up'"):
+        integrate(f, ("up", g))
+    # a / 1e30 underflows to a = 0 on both sides
+    tiny = TestFunction(1e-300, 0.0, 5e-301, 0.5)
+    for side in ("left", "right"):
+        with pytest.raises(SupportOutOfDomain, match="a = 0.0 <= 0"):
+            integrate(tiny, (side, AffineElement(1e30, 0.0)))
+    # a box of side ~1e-308 in a and b has an area that underflows to 0
+    with pytest.raises(ValueError, match="empty integration box"):
+        integrate(f, ("left", AffineElement(1e308, 0.0)))
+
+
 def test_unreachable_tolerance_raises():
     f = TestFunction(2.0, 0.0, 0.5, 0.5)
     with pytest.raises(ToleranceNotReached) as info:

@@ -109,6 +109,15 @@ def test_labels_round_trip_through_validation():
         validate_cayley(Z3, labels=["e", "g"])
 
 
+def test_labels_are_checked_after_the_latin_property():
+    with pytest.raises(CayleyError, match="labels must be n distinct strings"):
+        validate_cayley([[0, 1], [1, 0]], labels=["a", "a"])
+    # a table that is not Latin fails as such, whatever its labels
+    with pytest.raises(RowDuplicate) as info:
+        validate_cayley([[0, 0], [0, 0]], labels=["a"])
+    assert (info.value.row, info.value.value) == (0, 0)
+
+
 def test_parse_integer_table():
     text = "# additive group\n3\n0 1 2\n1 2 0\n2 0 1\n"
     q = parse_table_text(text)

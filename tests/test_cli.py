@@ -90,6 +90,16 @@ def test_validate_column_duplicate_names_the_column(tmp_path, capsys):
     assert _load_report(out) == {"kind": "validate", "valid": False, "failure": failure}
 
 
+def test_validate_reports_the_duplicate_of_a_label_table(tmp_path, capsys):
+    p = tmp_path / "labels.tbl"
+    p.write_text("2\na a\na a\n")  # one label, so row 0 repeats it
+    out = str(tmp_path / "labels.json")
+    assert main(["validate", "--table", str(p), "--json", out]) == 1
+    failure = {"reason": "row-duplicate", "row": 0, "value": 0}
+    assert _last_json_line(capsys.readouterr().out) == failure
+    assert _load_report(out) == {"kind": "validate", "valid": False, "failure": failure}
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "--table", str(tmp_path / "nope.tbl")]) == 2
     assert "error" in capsys.readouterr().err
@@ -353,7 +363,7 @@ SCAN_KEYS = {
 def test_a_scan_returns_the_document_the_cli_writes(modular, sample, name, tmp_path, capsys):
     """The library's result is the --json report: valid, plain JSON, the same keys in order."""
     dumps = str(tmp_path / "dumps")
-    scan = {"mode": "sample", "sample_size": 7, "seed": 3} if sample else {}
+    scan = {"sample": 7, "seed": 3} if sample else {}
     if modular:
         doc = modular_scan(3, identity_name=name, **scan)
     else:
@@ -406,14 +416,14 @@ def test_kunen_scan_refuses_flags_that_do_nothing(tmp_path, capsys):
     # a full scan has no seed, and a sample has no order cap to lift
     out = tmp_path / "refused.json"
     for kind in ([], ["--modular"]):
-        for flag, extra in (
-            ("--seed", ["--seed", "7"]),
-            ("--seed", ["--seed", "0"]),
-            ("--allow-n6", ["--sample", "3", "--allow-n6"]),
+        for message, extra in (
+            ("seed applies only to a sample scan", ["--seed", "7"]),
+            ("seed applies only to a sample scan", ["--seed", "0"]),
+            ("allow_n6 applies only to a full scan", ["--sample", "3", "--allow-n6"]),
         ):
             argv = ["kunen-scan", "--order", "3", "--json", str(out)] + extra + kind
             assert main(argv) == 2, argv
-            assert flag in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert not out.exists()
 
         # a sample without --seed runs with seed 0, and reports it

@@ -79,21 +79,26 @@ def test_scan_report_is_schema_valid():
         assert doc.keys() == SHARED_FIELDS | own[scan]
         assert doc["sampling_note"] is None
         assert (doc["identity_name"], doc["jobs"], doc["seed"]) == ("moufang_left", 1, None)
-        doc = scan(5, mode="sample", sample_size=25, seed=1)
+        doc = scan(5, sample=25, seed=1)
         assert validate_report(doc) == kind
         assert "not uniformly" in doc["sampling_note"]
         assert (doc["sample_size"], doc["seed"]) == (25, 1)
 
 
 def test_sample_mode_is_deterministic():
-    a = kunen_scan(5, mode="sample", sample_size=40, seed=9)
-    b = kunen_scan(5, mode="sample", sample_size=40, seed=9)
+    a = kunen_scan(5, sample=40, seed=9)
+    b = kunen_scan(5, sample=40, seed=9)
     assert (a["total_squares"], a["n1_count"], a["loop_count"]) == (
         40, b["n1_count"], b["loop_count"]
     )
     assert a["sample_size"] == 40
     assert a["seed"] == 9
     assert a["kunen_holds"]  # no sampled square can violate the theorem
+    # sample alone asks for a sample, seeded 0, never for the full scan
+    for scan in (kunen_scan, modular_scan):
+        c = scan(5, sample=40)
+        assert (c["mode"], c["total_squares"], c["seed"]) == ("sample", 40, 0)
+        assert {**c, "elapsed": None} == {**scan(5, sample=40, seed=0), "elapsed": None}
 
 
 def test_order_limits():
@@ -105,21 +110,27 @@ def test_order_limits():
     assert info.value.limit == 6
     with pytest.raises(ValueError):
         kunen_scan(0)
-    with pytest.raises(ValueError):
-        kunen_scan(3, mode="exhaustive")
+    # what a scan would ignore is refused: a seed on a full scan, the
+    # full-scan order cap's lift on a sample
+    for scan in (kunen_scan, modular_scan):
+        for seed in (0, 3):
+            with pytest.raises(ValueError, match="seed applies only to a sample scan"):
+                scan(3, seed=seed)
+        with pytest.raises(ValueError, match="allow_n6 applies only to a full scan"):
+            scan(6, sample=3, allow_n6=True)
     for bad in ({"jobs": 0}, {"jobs": -1}):
         with pytest.raises(ValueError):
             kunen_scan(3, **bad)
     # a sample is one unit of work: parallelism and checkpoints are refused
     for bad in ({"jobs": 2}, {"checkpoint": "unused.json"}):
         with pytest.raises(ValueError):
-            kunen_scan(5, mode="sample", sample_size=5, **bad)
-    for size in (0, -4):
+            kunen_scan(5, sample=5, **bad)
+    for size in (0, -4):  # sample=0 is no full scan
         for scan in (kunen_scan, modular_scan):
-            with pytest.raises(ValueError):
-                scan(3, mode="sample", sample_size=size)
+            with pytest.raises(ValueError, match="sample must be >= 1"):
+                scan(3, sample=size)
     # sampling at order 6 needs no flag
-    r = kunen_scan(6, mode="sample", sample_size=5, seed=0)
+    r = kunen_scan(6, sample=5, seed=0)
     assert r["total_squares"] == 5
 
 
@@ -279,7 +290,7 @@ def test_modular_scan_order_3():
 
 
 def test_modular_scan_sample_mode():
-    m = modular_scan(5, mode="sample", sample_size=30, seed=2)
+    m = modular_scan(5, sample=30, seed=2)
     assert m["total_squares"] == 30
     assert m["all_trivial"]
     assert m["trivial_cocycle_count"] == m["n1_count"]
@@ -502,7 +513,7 @@ def test_a_full_scan_refuses_an_identity_with_a_division(monkeypatch, tmp_path):
         with pytest.raises(ValueError, match="multiplication only"):
             scan(3, identity_name="left_division")
     # a sample checks whole squares, on which divisions are defined
-    r = kunen_scan(3, mode="sample", sample_size=5, identity_name="left_division",
+    r = kunen_scan(3, sample=5, identity_name="left_division",
                    counterexample_dir=str(tmp_path))
     assert r["n1_count"] == 5
 
@@ -922,7 +933,7 @@ def test_checkpoint_bytes_do_not_depend_on_which_orbit_finishes_first(
     identity = builtin_identity(name)
 
     def scan(jobs, path):
-        kunen._scan(5, "kunen", "full", 0, 0, False, identity, jobs, str(path))
+        kunen._scan(5, "kunen", identity, jobs=jobs, checkpoint=str(path))
         return path.read_bytes()
 
     serial = scan(1, tmp_path / "serial.json")

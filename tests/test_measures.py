@@ -270,6 +270,20 @@ def test_check_multiplicative():
     assert bad.counterexample == (1, 1)
 
 
+def test_a_cocycle_of_the_wrong_length_is_refused():
+    # one value too many was never read, one too few ran off the end
+    q = cyclic_group(3)
+    for size in (2, 4):
+        wrong = Cocycle.constant(size)
+        for check in (
+            lambda: verify_cocycle_relation(q, wrong, Cocycle.constant(3)),
+            lambda: verify_cocycle_relation(q, Cocycle.constant(3), wrong),
+            lambda: check_multiplicative(wrong, q),
+        ):
+            with pytest.raises(DegreeMismatch, match="order 3"):
+                check()
+
+
 def test_relation_reduces_to_multiplicativity_when_rho_positive():
     # with rho > 0 the relation holds iff j is multiplicative; spot-check
     # both routes agree on a non-multiplicative j
