@@ -9,7 +9,8 @@ generator appears.  Orders come out as exact Python ints via the product
 of fundamental orbit sizes.  Each transversal element is stored with its
 inverse, composed from the generators' inverses as the element is built,
 so sifting and Schreier generators never invert a permutation; the
-inverses are computed once per strong generator, as it joins the chain.
+inverses are computed once per strong generator, as it joins the chain
+(and for a chain being extended, again as the extension starts).
 Compositions are operator.itemgetter calls, and strong generators, built
 from validated permutations, are wrapped in Perm without a second check.
 
@@ -20,9 +21,16 @@ the order only while each level's group fixes the base points above it,
 so every residue is checked to fix them before it joins the chain, and a
 residue that does not is an internal error.
 
+A complete chain can be extended by more generators: those that sift
+through it are dropped, the rest are placed as in a fresh build, and only
+the levels that gain one are rebuilt before the same verification.
+
 The translation groups LMlt(Q), RMlt(Q) and Mlt(Q) of a finite
 quasigroup are the intended inputs; lmlt/rmlt/mlt build them from the
-rows and columns of the Cayley table.
+rows and columns of the Cayley table.  LMlt and RMlt are built afresh;
+Mlt extends LMlt's chain by the right translations.  A base records how
+a chain was built and is no answer about Q; order, membership,
+transitivity and generators are.
 """
 
 from __future__ import annotations
@@ -55,15 +63,33 @@ def _strip(g: tuple, base, transversals):
     return g, len(base)
 
 
-def _build_bsgs(gens: list[tuple], degree: int):
+def _build_bsgs(gens: list[tuple], degree: int, chain=None):
+    """The chain (base, level generators, transversals, order) of <gens>.
+
+    Given a complete chain, returns the chain of the group that it and gens
+    generate: the chain itself when every generator sifts through it.
+    """
     identity = tuple(range(degree))
     gens = [g for g in dict.fromkeys(gens) if g != identity]
+    if chain is None:
+        # order: the product of the transversal sizes
+        base, level_gens, transversals, order = [], [], [], 1
+        inverse = {}
+    else:
+        base, level_gens, transversals, order = chain
+        gens = [g for g in gens if _strip(g, base, transversals)[0] != identity]
+        if not gens:
+            return chain
+        base, transversals = list(base), list(transversals)
+        level_gens = [list(level) for level in level_gens]
+        # the chain keeps no inverses: its strong generators' are made again
+        inverse = {g: invert_images(g) for level in level_gens for g in level}
 
     # A generator that fixes base[:k] and moves base[k] belongs to levels
     # 0..k; one that fixes the whole base so far appends its smallest moved
-    # point, so k is settled when the generator is read.
-    base: list[int] = []
-    level_gens: list[list[tuple]] = []
+    # point, so k is settled when the generator is read.  Levels 0..top
+    # gain a generator; deeper ones keep their complete transversals.
+    top = -1
     for g in gens:
         k = 0
         while k < len(base) and g[base[k]] == base[k]:
@@ -71,14 +97,13 @@ def _build_bsgs(gens: list[tuple], degree: int):
         if k == len(base):
             base.append(min(p for p in range(degree) if g[p] != p))
             level_gens.append([])
+            transversals.append({base[k]: (identity, identity)})
         for level in level_gens[:k + 1]:
             level.append(g)
-    transversals: list[dict[int, tuple[tuple, tuple]]] = [
-        {base[i]: (identity, identity)} for i in range(len(base))
-    ]
+        if k > top:
+            top = k
     # each strong generator is inverted once, when it joins the chain
-    inverse = {g: invert_images(g) for g in gens}
-    order = 1  # the chain's order: the product of the transversal sizes
+    inverse.update({g: invert_images(g) for g in gens})
 
     # A non-empty base means degree >= 2, so itemgetter below always takes
     # at least two indices and returns a tuple.
@@ -99,7 +124,7 @@ def _build_bsgs(gens: list[tuple], degree: int):
         order = order // len(transversals[i]) * len(trans)
         transversals[i] = trans
 
-    for level in range(len(base)):
+    for level in range(top + 1):
         recompute_transversal(level)
 
     # Each added strong generator strictly enlarges a group of the chain,
@@ -111,9 +136,11 @@ def _build_bsgs(gens: list[tuple], degree: int):
     # so the product of the transversal sizes is at most |G|; once it meets
     # the bound the chain is complete and every Schreier generator still
     # unsifted would sift to the identity.
-    even = all((degree - len(orbits([g], degree))) % 2 == 0 for g in gens)
+    # Level 0 holds every generator that was not dropped as a member.
+    even = all((degree - len(orbits([g], degree))) % 2 == 0
+               for level in level_gens[:1] for g in level)
     bound = math.factorial(degree) // (2 if even else 1)
-    i = len(base) - 1
+    i = top  # the levels deeper than top were verified when the chain was built
     while i >= 0 and order != bound:
         trans = transversals[i]
         # a Schreier generator of level i fixes base[:i + 1]: sift it below
@@ -166,12 +193,13 @@ class PermGroup:
     """Immutable once generate() returns; queries are read-only."""
 
     __slots__ = ("degree", "generators", "base", "strong_generators", "order",
-                 "_transversals")
+                 "_level_gens", "_transversals")
 
     def __init__(self, degree, generators, base, level_gens, transversals, order):
         self.degree = degree
         self.generators = tuple(generators)
         self.base = tuple(base)
+        self._level_gens = level_gens
         # from a list: tuple(map(...)) here let peak RSS climb as groups were built
         strong = dict.fromkeys(g for level in level_gens for g in level)
         self.strong_generators = tuple([Perm._trusted(g) for g in strong])
@@ -268,7 +296,13 @@ def rmlt(q: FiniteQuasigroup) -> PermGroup:
 
 
 def mlt(q: FiniteQuasigroup) -> PermGroup:
-    """Group generated by all left and right translations together."""
-    gens = [q.left_translation(a) for a in range(q.order)]
-    gens += [q.right_translation(a) for a in range(q.order)]
-    return generate(gens)
+    """Group generated by all left and right translations together.
+
+    LMlt's chain extended by the right translations, so its base starts
+    with LMlt's.
+    """
+    left = lmlt(q)
+    right = [q.right_translation(a) for a in range(q.order)]
+    chain = _build_bsgs([g.images for g in right], q.order,
+                        (left.base, left._level_gens, left._transversals, left.order))
+    return PermGroup(q.order, left.generators + tuple(right), *chain)

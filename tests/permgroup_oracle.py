@@ -6,7 +6,10 @@ strong generators without re-validating them.  None of that may change a
 step: build_bsgs below is the earlier construction, verbatim but for its
 name and a local composition by generator expression, and its base,
 level generators, transversals (elements, inverses and insertion order)
-and order are the chain that _build_bsgs must return.
+and order are the chain that _build_bsgs must return on a fresh build.
+permgroup.mlt extends the chain of LMlt instead of building afresh, so
+its chain differs from build_bsgs(left + right); its order and
+membership are checked against that chain instead.
 """
 
 import math

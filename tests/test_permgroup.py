@@ -2,10 +2,11 @@
 
 import itertools
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+from permgroup_oracle import _strip as oracle_strip
 from permgroup_oracle import build_bsgs
 from quasilab import permgroup
 from quasilab.cayley import FiniteQuasigroup, cyclic_group, subtraction_mod
@@ -138,18 +139,20 @@ def test_construction_is_deterministic():
 
 
 def test_chain_is_pinned_on_seeded_squares():
-    # mlt --json reports the base, so the chain is part of the output:
     # base, transversal point sets and strong generators (as image strings)
-    # of LMlt, RMlt and Mlt
+    # of LMlt, RMlt and Mlt.  The chain records how a group was built; it is
+    # not an answer about Q, whose answers are order, membership,
+    # transitivity and generators.  LMlt and RMlt are built afresh, Mlt
+    # extends LMlt's chain: on these squares LMlt is already Sym(6), so Mlt's
+    # chain is LMlt's
     expected = [
         [
             ("20314", "012345 01345 1345 145 45",
              "013452 534120 201534 145203 352041 420315 532041 042351 012543 012354"),
             ("10234", "012345 02345 2345 345 45",
              "052134 130452 341520 415203 523041 204315 514320 013542 012534 012354"),
-            ("20134", "012345 01345 1345 345 45",
-             "013452 534120 201534 145203 352041 420315 052134 130452 341520 415203 "
-             "523041 204315 012453 012354"),
+            ("20314", "012345 01345 1345 145 45",
+             "013452 534120 201534 145203 352041 420315 532041 042351 012543 012354"),
         ],
         [
             ("01234", "012345 12345 2345 345 45",
@@ -159,8 +162,8 @@ def test_chain_is_pinned_on_seeded_squares():
              "154203 312045 205134 530421 041352 423510 012354 013542 015324 015342 "
              "012543"),
             ("01234", "012345 12345 2345 345 45",
-             "132504 510342 425013 201435 043251 354120 154203 312045 205134 530421 "
-             "041352 423510 015243 012453 012354"),
+             "132504 510342 425013 201435 043251 354120 014235 013245 015243 012435 "
+             "012543 012354"),
         ],
         [
             ("10324", "012345 02345 2345 245 45",
@@ -169,8 +172,8 @@ def test_chain_is_pinned_on_seeded_squares():
             ("10234", "012345 02345 2345 345 45",
              "032514 245301 301245 420153 154032 513420 315240 014235 012453 012354"),
             ("10324", "012345 02345 2345 245 45",
-             "023415 340251 251043 532104 104532 415320 032514 245301 301245 420153 "
-             "154032 513420 012534 013254 012354 015324"),
+             "023415 340251 251043 532104 104532 415320 012543 013245 012435 015342 "
+             "012354"),
         ],
         [
             ("10243", "012345 02345 2345 345 35",
@@ -180,8 +183,8 @@ def test_chain_is_pinned_on_seeded_squares():
              "041325 314052 503214 432501 250143 125430 513402 015324 012435 012543 "
              "012354"),
             ("10243", "012345 02345 2345 345 35",
-             "035421 410352 143205 302514 251043 524130 041325 314052 503214 432501 "
-             "250143 125430 013542 014253 012354 012534 012543"),
+             "035421 410352 143205 302514 251043 524130 314205 012354 013254 015423 "
+             "012543"),
         ],
     ]
 
@@ -289,18 +292,24 @@ def test_a_sifting_defect_never_gives_a_wrong_order(monkeypatch):
                 assert "internal error" in str(error)
 
 
-def test_the_stop_saves_sifts_on_sym6(monkeypatch):
-    # without the stop a Sym(6) chain sifted 76.4 Schreier generators on
-    # average (the perfbench corpus-n6 squares of seed 1), every one to the
-    # identity; with it, about 12
-    sifts = [0]
+@pytest.fixture
+def sifts(monkeypatch):
+    """A one-item list that counts the calls of permgroup._strip."""
+    count = [0]
     strip = permgroup._strip
 
     def counting_strip(*args):
-        sifts[0] += 1
+        count[0] += 1
         return strip(*args)
 
     monkeypatch.setattr(permgroup, "_strip", counting_strip)
+    return count
+
+
+def test_the_stop_saves_sifts_on_sym6(sifts):
+    # without the stop a Sym(6) chain sifted 76.4 Schreier generators on
+    # average (the perfbench corpus-n6 squares of seed 1), every one to the
+    # identity; with it, about 12
     counts = []
     for square in sample_latin_squares(6, 20, seed=1):
         for build in (lmlt, mlt):
@@ -309,6 +318,43 @@ def test_the_stop_saves_sifts_on_sym6(monkeypatch):
                 counts.append(sifts[0])
     assert len(counts) >= 20
     assert sum(counts) / len(counts) < 76.4 / 2
+
+
+def test_mlt_keeps_a_sym_n_chain_of_lmlt(sifts):
+    # |LMlt| = n!, so every right translation sifts through LMlt's chain:
+    # one sift each, and the chain is LMlt's, transversals and all
+    kept = 0
+    for square in sample_latin_squares(6, 10, seed=1):
+        q = FiniteQuasigroup(square)
+        left = lmlt(q)
+        if left.order != 720 or any(q.right_translation(a).is_identity() for a in range(6)):
+            continue
+        sifts[0] = 0
+        both = mlt(q)
+        assert sifts[0] == 6
+        assert (both.base, both.order) == (left.base, 720)
+        assert len(both._transversals) == len(left._transversals)
+        assert all(a is b for a, b in zip(both._transversals, left._transversals))
+        # on a fresh instance mlt builds LMlt first and leaves it cached
+        fresh = FiniteQuasigroup(square)
+        both = mlt(fresh)
+        sifts[0] = 0
+        left = lmlt(fresh)
+        assert sifts[0] == 0
+        assert all(a is b for a, b in zip(both._transversals, left._transversals))
+        kept += 1
+    assert kept >= 5
+
+
+def test_mlt_of_s3_appends_base_points():
+    # LMlt(S3) is the left regular representation, order 6 with base (0,);
+    # the right translations are not in it, so the extension places them
+    # and appends two base points below LMlt's
+    q = FiniteQuasigroup(_table(list(itertools.permutations(range(3))), compose_images))
+    assert (lmlt(q).base, lmlt(q).order) == ((0,), 6)
+    both = mlt(q)
+    assert (both.base, both.order) == ((0, 2, 1), 36)
+    assert both.order == len(both.elements())
 
 
 def test_lmlt_is_built_once_per_quasigroup():
@@ -353,6 +399,41 @@ def _assert_chain_is_the_oracles(gens, degree):
     assert order == want_order
 
 
+def _assert_chain_is_valid(group):
+    identity, base = tuple(range(group.degree)), group.base
+    assert len(group._level_gens) == len(group._transversals) == len(base)
+    for i, trans in enumerate(group._transversals):
+        for point, (u, uinv) in trans.items():
+            assert u[base[i]] == point
+            assert all(u[b] == b for b in base[:i])
+            assert compose_images(u, uinv) == identity
+        assert all(s[b] == b for s in group._level_gens[i] for b in base[:i])
+    assert group.order == prod(len(t) for t in group._transversals)
+
+
+def _assert_mlt_is_the_oracles_group(q, left, right):
+    # mlt extends the chain of lmlt, so its chain is not the oracle's fresh
+    # one; its order and membership are
+    n = q.order
+    both = mlt(q)
+    assert [g.images for g in both.generators] == left + right
+    assert both.base[:len(lmlt(q).base)] == lmlt(q).base
+    base, _, transversals, order = build_bsgs(left + right, n)
+    assert both.order == order
+    if n <= 6:
+        members = [tuple(range(n))]
+        for trans in transversals:
+            members = [compose_images(m, u) for m in members for u, _ in trans.values()]
+        assert len(members) == order
+        assert all(Perm(m) in both for m in members)
+    rng = random.Random(str(q.table))
+    identity = tuple(range(n))
+    for _ in range(50):
+        images = tuple(rng.sample(range(n), n))
+        expected = oracle_strip(images, base, transversals)[0] == identity
+        assert (Perm(images) in both) == expected
+
+
 def _assert_translation_chains_are_the_oracles(table):
     # LMlt, RMlt and Mlt
     q, n = FiniteQuasigroup(table), len(table)
@@ -360,6 +441,9 @@ def _assert_translation_chains_are_the_oracles(table):
     right = [q.right_translation(a).images for a in range(n)]
     for gens in (left, right, left + right):
         _assert_chain_is_the_oracles(gens, n)
+    _assert_mlt_is_the_oracles_group(q, left, right)
+    for group in (lmlt(q), rmlt(q), mlt(q)):
+        _assert_chain_is_valid(group)
 
 
 def _table(elements, mul):
