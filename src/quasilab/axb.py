@@ -185,14 +185,16 @@ def _check_stencil(a, h: float) -> None:
 def numeric_jacobian(side: str, g: AffineElement, p: AffineElement, h: float = 1e-4) -> float:
     """Central-difference Jacobian determinant of L_g or R_g at p.
 
-    side "left": p -> g p; side "right": p -> p g.  h must be finite and
-    above 0, and the four-point stencil must stay inside {a > 0}.  g and
-    p may hold blocks; the result is then an array, and a stencil outside
-    the domain raises for its first point.
+    side "left": p -> g p; side "right": p -> p g.  g and p must be
+    finite, h finite and above 0, and the four-point stencil must stay
+    inside {a > 0}.  g and p may hold blocks; the result is then an
+    array, and a stencil outside the domain raises for its first point.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     _require_finite_positive("h", h)
+    _require_finite("g", g)
+    _require_finite("p", p)
     _check_stencil(p.a, h)
 
     def phi(a: float, b: float) -> AffineElement:
@@ -316,6 +318,16 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and above 0, got {value}")
 
 
+def _require_finite(name: str, g: AffineElement) -> None:
+    # here, not in AffineElement: the suite's arithmetic makes thousands of them
+    if isinstance(g.a, float) and isinstance(g.b, float):
+        finite = math.isfinite(g.a) and math.isfinite(g.b)
+    else:  # a block of elements
+        finite = np.isfinite(g.a).all() and np.isfinite(g.b).all()
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {g}")
+
+
 def _pulled_back_box(f: TestFunction, translate) -> tuple[float, float, float, float]:
     """Exact integration box of {p : T(p) in supp f} for T absent, L_g, or R_g.
 
@@ -328,10 +340,7 @@ def _pulled_back_box(f: TestFunction, translate) -> tuple[float, float, float, f
     box = (a_lo, a_hi, b_lo, b_hi)
     if translate is not None:
         side, g = translate
-        if not (math.isfinite(g.a) and math.isfinite(g.b)):
-            # checked here, not in AffineElement: the suite's arithmetic
-            # makes thousands of elements, none of them from outside
-            raise ValueError(f"translation element must be finite, got {g}")
+        _require_finite("translation element", g)
         alpha, beta = g.a, g.b
         if side == "left":
             # L_g(p) = (alpha p.a, beta + alpha p.b): box maps to box

@@ -8,7 +8,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
-from .perm import Perm
+from .perm import Perm, invert_images
 
 
 class CayleyError(ValueError):
@@ -71,23 +71,19 @@ class FiniteQuasigroup:
 
     def right_translation(self, a: int) -> Perm:
         """The bijection x -> x*a (column a of the table)."""
-        return Perm(tuple(row[a] for row in self.table))
+        return Perm(self.columns[a])
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of the table: column a is the right translation x -> x*a."""
+        return tuple(zip(*self.table))
 
     def _division_tables(self):
+        # a division is an inverted translation: left[a] inverts row a, and
+        # the right table, indexed [b][a], transposes the inverted columns
         if self._left_div is None:
-            n = self.order
-            left = [[0] * n for _ in range(n)]
-            right = [[0] * n for _ in range(n)]
-            for a in range(n):
-                row = self.table[a]
-                for x in range(n):
-                    left[a][row[x]] = x
-            # right table indexed [b][a]: the unique y with y*a = b.
-            for a in range(n):
-                for y in range(n):
-                    right[self.table[y][a]][a] = y
-            self._left_div = tuple(tuple(r) for r in left)
-            self._right_div = tuple(tuple(r) for r in right)
+            self._left_div = tuple(map(invert_images, self.table))
+            self._right_div = tuple(zip(*map(invert_images, self.columns)))
         return self._left_div, self._right_div
 
     def left_divide(self, a: int, b: int) -> int:
@@ -106,11 +102,9 @@ class FiniteQuasigroup:
         Two two-sided identities coincide, so the first row/column hit is
         the only candidate.
         """
-        n = self.order
-        for e in range(n):
-            if self.table[e] == tuple(range(n)) and all(
-                self.table[x][e] == x for x in range(n)
-            ):
+        identity = tuple(range(self.order))
+        for e, row in enumerate(self.table):
+            if row == identity and self.columns[e] == identity:
                 return e
         return None
 
@@ -153,18 +147,13 @@ def validate_cayley(raw, labels=None) -> FiniteQuasigroup:
             if not 0 <= entry < n:
                 raise OutOfRange(entry, n)
         rows.append(row)
-    for i, row in enumerate(rows):
-        seen = set()
-        for entry in row:
-            if entry in seen:
-                raise RowDuplicate(i, entry)
-            seen.add(entry)
-    for j in range(n):
-        seen = set()
-        for row in rows:
-            if row[j] in seen:
-                raise ColumnDuplicate(j, row[j])
-            seen.add(row[j])
+    for duplicate, lines in ((RowDuplicate, rows), (ColumnDuplicate, zip(*rows))):
+        for i, line in enumerate(lines):
+            seen = set()
+            for entry in line:
+                if entry in seen:
+                    raise duplicate(i, entry)
+                seen.add(entry)
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:

@@ -115,8 +115,7 @@ def _cmd_translations(args) -> tuple:
     if args.element is not None and not 0 <= args.element < q.order:
         raise ValueError(f"element {args.element} outside [0, {q.order})")
     elements = [args.element] if args.element is not None else list(range(q.order))
-    left = [list(q.left_translation(a).images) for a in elements]
-    right = [list(q.right_translation(a).images) for a in elements]
+    left, right = ([list(lines[a]) for a in elements] for lines in (q.table, q.columns))
     doc = {
         "kind": "translations",
         "order": q.order,

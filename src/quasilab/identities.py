@@ -241,15 +241,13 @@ def check_identity(q: FiniteQuasigroup, identity: Identity, cap: int = 4) -> Che
 
 def _operator_n1_all(q: FiniteQuasigroup) -> bool:
     n = q.order
-    table = q.table
-    rows = [table[a] for a in range(n)]
-    cols = [tuple(table[x][a] for x in range(n)) for a in range(n)]
+    rows, cols = q.table, q.columns
     for y in range(n):
         ry = cols[y]
         ly = rows[y]
         ly_ry = compose_images(ly, ry)
         for x in range(n):
-            lhs = compose_images(ry, rows[table[x][y]])
+            lhs = compose_images(ry, rows[rows[x][y]])
             rhs = compose_images(rows[x], ly_ry)
             if lhs != rhs:
                 return False

@@ -1,8 +1,10 @@
 """Permutations of {0, ..., n-1} in image form.
 
 Composition follows the operator convention (s @ t)(x) = s(t(x)): the
-right factor acts first.  Hot loops elsewhere in the package work on raw
-image tuples and only wrap them in Perm at API boundaries.
+right factor acts first.  Every Perm is validated when it is made.  Hot
+loops elsewhere in the package work on raw image tuples, such as the rows
+and columns of a Latin table, and only wrap them in Perm at API
+boundaries.
 """
 
 from __future__ import annotations
@@ -26,13 +28,6 @@ class Perm:
     @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(tuple(range(degree)))
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
-        """Wrap a composite of validated permutations without the check."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
 
     @property
     def degree(self) -> int:

@@ -11,8 +11,9 @@ inverse, composed from the generators' inverses as the element is built,
 so sifting and Schreier generators never invert a permutation; the
 inverses are computed once per strong generator, as it joins the chain
 (and for a chain being extended, again as the extension starts).
-Compositions are operator.itemgetter calls, and strong generators, built
-from validated permutations, are wrapped in Perm without a second check.
+Compositions are operator.itemgetter calls on image tuples.  A group
+keeps its generators and strong generators as image tuples and wraps
+them in validated Perms only when they are asked for.
 
 Verification stops as soon as that product reaches the order bound the
 generators prove, degree! or degree!/2 when all of them are even (the
@@ -63,11 +64,12 @@ def _strip(g: tuple, base, transversals):
     return g, len(base)
 
 
-def _build_bsgs(gens: list[tuple], degree: int, chain=None):
+def _build_bsgs(gens, degree: int, chain=None):
     """The chain (base, level generators, transversals, order) of <gens>.
 
-    Given a complete chain, returns the chain of the group that it and gens
-    generate: the chain itself when every generator sifts through it.
+    gens are image tuples.  Given a complete chain, returns the chain of
+    the group that it and gens generate: the chain itself when every
+    generator sifts through it.
     """
     identity = tuple(range(degree))
     gens = [g for g in dict.fromkeys(gens) if g != identity]
@@ -190,21 +192,27 @@ def _build_bsgs(gens: list[tuple], degree: int, chain=None):
 
 
 class PermGroup:
-    """Immutable once generate() returns; queries are read-only."""
+    """Immutable once built; generators are kept as image tuples, wrapped when read."""
 
-    __slots__ = ("degree", "generators", "base", "strong_generators", "order",
-                 "_level_gens", "_transversals")
+    __slots__ = ("degree", "_generators", "base", "order", "_level_gens", "_transversals")
 
     def __init__(self, degree, generators, base, level_gens, transversals, order):
         self.degree = degree
-        self.generators = tuple(generators)
+        self._generators = tuple(generators)
         self.base = tuple(base)
         self._level_gens = level_gens
-        # from a list: tuple(map(...)) here let peak RSS climb as groups were built
-        strong = dict.fromkeys(g for level in level_gens for g in level)
-        self.strong_generators = tuple([Perm._trusted(g) for g in strong])
         self.order = order
         self._transversals = tuple(transversals)
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        return tuple(map(Perm, self._generators))
+
+    @property
+    def strong_generators(self) -> tuple[Perm, ...]:
+        """The level generators, each once, from level 0 down."""
+        strong = dict.fromkeys(g for level in self._level_gens for g in level)
+        return tuple(map(Perm, strong))
 
     def membership(self, p: Perm) -> bool:
         if p.degree != self.degree:
@@ -221,11 +229,10 @@ class PermGroup:
         """The points the generators reach from point."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside 0..{self.degree - 1}")
-        gens = [g.images for g in self.generators]
-        return frozenset(next(o for o in orbits(gens, self.degree) if point in o))
+        return frozenset(next(o for o in orbits(self._generators, self.degree) if point in o))
 
     def is_transitive(self) -> bool:
-        return len(orbits([g.images for g in self.generators], self.degree)) == 1
+        return len(orbits(self._generators, self.degree)) == 1
 
     def elements(self, cap: int = 10**6) -> frozenset[tuple]:
         """Every element as an image tuple, by breadth-first products.
@@ -235,7 +242,7 @@ class PermGroup:
         the cap rather than filling memory.
         """
         identity = tuple(range(self.degree))
-        gens = [g.images for g in self.generators]
+        gens = self._generators
         seen = {identity}
         frontier = [identity]
         while frontier:
@@ -255,6 +262,11 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
+def _group(gens, degree: int) -> PermGroup:
+    """The group generated by image tuples of one degree."""
+    return PermGroup(degree, gens, *_build_bsgs(gens, degree))
+
+
 def generate(gens, degree: int | None = None) -> PermGroup:
     """Group generated by a list of Perm (empty list: trivial group).
 
@@ -262,47 +274,44 @@ def generate(gens, degree: int | None = None) -> PermGroup:
     otherwise.
     """
     gens = list(gens)
-    if not gens:
-        if degree is None:
-            raise ValueError("degree required for an empty generator list")
-        return PermGroup(degree, [], [], [], [], 1)
-    d = gens[0].degree
+    if not gens and degree is None:
+        raise ValueError("degree required for an empty generator list")
+    d = gens[0].degree if gens else degree
     for g in gens:
         if g.degree != d:
-            raise DegreeMismatch(
-                f"generator degrees differ: {g.degree} != {d}"
-            )
+            raise DegreeMismatch(f"generator degrees differ: {g.degree} != {d}")
     if degree is not None and degree != d:
         raise DegreeMismatch(f"requested degree {degree}, generators have {d}")
-    tuples = [g.images for g in gens]
-    base, level_gens, transversals, order = _build_bsgs(tuples, d)
-    return PermGroup(d, gens, base, level_gens, transversals, order)
+    return _group([g.images for g in gens], d)
 
 
 def lmlt(q: FiniteQuasigroup) -> PermGroup:
-    """Group generated by all left translations.
+    """Group generated by all left translations, the rows of q's table.
 
-    Built once per quasigroup instance and kept on it, so the LMlt audit
-    and a caller that asked for the group first share one chain.
+    Precondition: q's table is Latin, as validate_cayley enforces.  Built
+    once per quasigroup instance and kept on it, so the LMlt audit and a
+    caller that asked for the group first share one chain.
     """
     if q._lmlt is None:
-        q._lmlt = generate([q.left_translation(a) for a in range(q.order)])
+        q._lmlt = _group(q.table, q.order)
     return q._lmlt
 
 
 def rmlt(q: FiniteQuasigroup) -> PermGroup:
-    """Group generated by all right translations."""
-    return generate([q.right_translation(a) for a in range(q.order)])
+    """Group generated by all right translations, the columns of q's table.
+
+    Precondition: q's table is Latin, as validate_cayley enforces.
+    """
+    return _group(q.columns, q.order)
 
 
 def mlt(q: FiniteQuasigroup) -> PermGroup:
     """Group generated by all left and right translations together.
 
-    LMlt's chain extended by the right translations, so its base starts
-    with LMlt's.
+    LMlt's chain extended by the columns, so its base starts with LMlt's.
+    Precondition: q's table is Latin, as validate_cayley enforces.
     """
-    left = lmlt(q)
-    right = [q.right_translation(a) for a in range(q.order)]
-    chain = _build_bsgs([g.images for g in right], q.order,
+    left, right = lmlt(q), q.columns
+    chain = _build_bsgs(right, q.order,
                         (left.base, left._level_gens, left._transversals, left.order))
-    return PermGroup(q.order, left.generators + tuple(right), *chain)
+    return PermGroup(q.order, left._generators + right, *chain)

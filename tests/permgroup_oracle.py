@@ -1,8 +1,8 @@
 """Schreier-Sims as it was built before its itemgetter kernels: the reference chain.
 
 permgroup._build_bsgs composes with operator.itemgetter, inverts each
-strong generator once, chooses base and levels in one pass, and wraps
-strong generators without re-validating them.  None of that may change a
+strong generator once, chooses base and levels in one pass, and takes
+the table's rows and columns as image tuples.  None of that may change a
 step: build_bsgs below is the earlier construction, verbatim but for its
 name and a local composition by generator expression, and its base,
 level generators, transversals (elements, inverses and insertion order)

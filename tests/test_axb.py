@@ -104,6 +104,21 @@ def test_integrate_refuses_a_non_finite_translation(side, element):
         integrate(TestFunction(2.0, 0.0, 0.5, 0.5), (side, AffineElement(*element)))
 
 
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("role", ["g", "p"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("element", [(1.0, math.nan), (1.0, -math.inf), (math.inf, 0.0)])
+def test_jacobian_refuses_a_non_finite_element(side, role, element, block):
+    # its determinant would be nan, which passes every err > bound test
+    a, b = element
+    if block:  # the bad element second in a block of two
+        a, b = np.array([1.5, a]), np.array([0.0, b])
+    args = {"g": AffineElement(2.0, 0.0), "p": AffineElement(1.0, 0.0)}
+    args[role] = AffineElement(a, b)
+    with pytest.raises(ValueError, match="finite"):
+        numeric_jacobian(side, args["g"], args["p"])
+
+
 def test_jacobians_match_the_exact_determinants():
     # both translation maps are affine in p, so central differences are
     # exact up to rounding; demand far better than the contract 1e-6

@@ -15,7 +15,7 @@ from quasilab.cayley import (
     subtraction_mod,
     validate_cayley,
 )
-from quasilab.latin import sample_latin_squares
+from quasilab.latin import enumerate_latin_squares, sample_latin_squares
 
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 SUB3 = [[0, 2, 1], [1, 0, 2], [2, 1, 0]]
@@ -61,6 +61,7 @@ def test_translations_are_rows_and_columns():
     q = validate_cayley(SUB3)
     assert q.left_translation(1).images == (1, 0, 2)
     assert q.right_translation(1).images == (2, 0, 1)
+    assert q.columns == ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
 def test_divisions_solve_their_equations():
@@ -75,10 +76,16 @@ def test_divisions_solve_their_equations():
 
 
 def test_divisions_on_sampled_squares():
-    for square in sample_latin_squares(5, 10, seed=3):
+    # divisions are inverted rows and columns: every order-4 square, and
+    # seeded squares up to order 7
+    squares = []
+    enumerate_latin_squares(4, squares.append)
+    squares += sample_latin_squares(5, 10, seed=3)
+    squares += sample_latin_squares(6, 4, seed=6) + sample_latin_squares(7, 3, seed=7)
+    for square in squares:
         q = FiniteQuasigroup(square)
-        for a in range(5):
-            for b in range(5):
+        for a in range(q.order):
+            for b in range(q.order):
                 assert q.multiply(a, q.left_divide(a, b)) == b
                 assert q.multiply(q.right_divide(a, b), a) == b
 

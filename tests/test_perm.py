@@ -1,9 +1,13 @@
 """Permutation primitive: composition convention and inverse laws."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quasilab
 from quasilab.perm import DegreeMismatch, Perm, compose_images, invert_images
 
 
@@ -69,3 +73,31 @@ def test_raw_helpers_match_perm_algebra(pair):
     s, t = (tuple(x) for x in pair)
     assert compose_images(s, t) == (Perm(s) @ Perm(t)).images
     assert invert_images(s) == Perm(s).inverse().images
+
+
+def _unchecked_constructions(tree: ast.AST) -> list[int]:
+    """The lines naming object.__new__, which makes an instance past __post_init__."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__new__"
+    )
+
+
+def test_rules_catch_unchecked_constructions():
+    source = (
+        "p = object.__new__(Perm)\n"
+        "make = object.__new__\n"
+        "q = Perm((0,))\n"
+    )
+    assert _unchecked_constructions(ast.parse(source)) == [1, 2]
+
+
+def test_every_perm_is_validated():
+    """No module can make a Perm, or anything else, past its checks."""
+    found = [
+        f"{path.name} line {line}"
+        for path in sorted(Path(quasilab.__file__).parent.glob("*.py"))
+        for line in _unchecked_constructions(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

@@ -363,6 +363,26 @@ def test_lmlt_is_built_once_per_quasigroup():
     assert lmlt(FiniteQuasigroup(q.table)) is not lmlt(q)
 
 
+def test_translation_groups_make_no_perm(monkeypatch):
+    # the rows and columns of a Latin table are permutations already:
+    # LMlt, RMlt and Mlt take them as image tuples from the table to the chain
+    made = [0]
+    check = Perm.__post_init__
+
+    def counting_check(self):
+        made[0] += 1
+        check(self)
+
+    monkeypatch.setattr(Perm, "__post_init__", counting_check)
+    for square in sample_latin_squares(6, 10, seed=29):
+        for build in (lmlt, rmlt, mlt):
+            build(FiniteQuasigroup(square))
+    assert made[0] == 0
+    # the generators are wrapped, and validated, when they are read
+    assert len(mlt(FiniteQuasigroup(square)).generators) == 12
+    assert made[0] == 12
+
+
 def test_chains_agree_with_enumeration():
     # every sift runs on the inverses stored beside the transversal
     # elements, so a wrong one shows as a wrong order or membership answer;
