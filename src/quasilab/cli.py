@@ -16,9 +16,6 @@ import json
 import math
 import sys
 
-import jsonschema
-
-from .axb import run_verification_suite
 from .cayley import (
     CayleyError,
     ColumnDuplicate,
@@ -215,6 +212,8 @@ def _cmd_characters(args) -> tuple:
 
 
 def _cmd_axb(args) -> tuple:
+    from .axb import run_verification_suite  # numpy loads only for this command
+
     report = run_verification_suite(
         trials=args.trials, tol=args.tol, seed=args.seed
     )
@@ -260,6 +259,8 @@ def _cmd_kunen_scan(args) -> tuple:
 
 
 def _cmd_report_validate(args) -> tuple:
+    from jsonschema import ValidationError  # jsonschema loads only for this command
+
     try:
         with open(args.file) as fh:
             doc = json.load(fh)
@@ -269,7 +270,7 @@ def _cmd_report_validate(args) -> tuple:
         kind = validate_report(doc)
     except UnknownReportKind as exc:
         error = str(exc)
-    except jsonschema.ValidationError as exc:
+    except ValidationError as exc:
         error = exc.message
     else:
         return None, [f"valid {kind} report"], None

@@ -48,7 +48,6 @@ import math
 import os
 import time
 from collections import Counter
-from multiprocessing import Pool
 
 from .cayley import CayleyError, FiniteQuasigroup, format_table_text, validate_cayley
 from .identities import builtin_identity, check_identity, compile_identity, pretty
@@ -363,6 +362,17 @@ def _write_checkpoint(path: str, header: dict, completed: dict):
     os.replace(tmp, path)
 
 
+def Pool(processes: int):
+    """multiprocessing.Pool(processes), imported at the first call.
+
+    Only a scan with more than one worker calls it, so no other scan, and
+    no other command, loads multiprocessing.
+    """
+    from multiprocessing import Pool
+
+    return Pool(processes=processes)
+
+
 def _scan(
     n: int,
     kind: str,
@@ -380,7 +390,9 @@ def _scan(
     directly; sample=None scans every square.  A request that a scan
     would ignore is refused with ValueError: a seed on a full scan,
     allow_n6 (which lifts only the full-scan order cap) on a sample, and
-    a checkpoint or jobs > 1 on a sample, which is one unit of work.
+    a checkpoint or jobs > 1 on a sample, which is one unit of work.  A
+    checkpoint in a directory that does not exist is refused the same way,
+    before any unit runs.
     A full scan runs one work unit per first-row orbit, records each
     finished unit's rows to the checkpoint, labelled by kind, at once, and
     leaves a unit pending while any of its rows is missing.  A checkpoint
@@ -413,6 +425,8 @@ def _scan(
         raise OrderTooLarge(n, FULL_ENUMERATION_LIMIT)
     if n > FULL_SCAN_DEFAULT_LIMIT and not allow_n6:
         raise OrderTooLarge(n, FULL_SCAN_DEFAULT_LIMIT)
+    if checkpoint is not None and not os.path.isdir(os.path.dirname(checkpoint) or "."):
+        raise ValueError(f"checkpoint {checkpoint}: its directory does not exist")
     row_total = count_latin_squares_memoized(n) // math.factorial(n)
 
     header = {"order": n, "identity": pretty(identity), "kind": kind}
@@ -532,9 +546,10 @@ def kunen_scan(
     allow_n6; n = 6 is ~8.1e8 squares) by the pruned search of the module
     docstring.  sample=K (K >= 1) draws K squares seeded by seed, 0 when
     seed is None.  What a scan would ignore raises ValueError: seed on a
-    full scan, and allow_n6, jobs > 1 or a checkpoint on a sample.
-    identity_name picks the identity from the builtin catalog, so the
-    scan can be repeated with e.g. the classical left Moufang identity.
+    full scan, and allow_n6, jobs > 1 or a checkpoint on a sample; so
+    does a checkpoint whose directory does not exist.  identity_name
+    picks the identity from the builtin catalog, so the scan can be
+    repeated with e.g. the classical left Moufang identity.
     """
     return _scan_report(
         "kunen", n, identity_name, counterexample_dir, sample=sample, seed=seed,

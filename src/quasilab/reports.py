@@ -4,15 +4,15 @@ Every machine-readable document the CLI writes carries a "kind" field;
 validate_report dispatches on it and checks the document against the
 matching schema, so reports round-trip: anything the tool emits, the
 tool can re-validate.
+
+jsonschema loads on the first call of validate_report, not on import:
+about 60 ms of start-up that only report-validate, among the commands,
+needs.  The errors raised are jsonschema's own classes all the same.
 """
 
 from __future__ import annotations
 
 from functools import cache
-
-import jsonschema
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 
 class UnknownReportKind(ValueError):
@@ -202,6 +202,8 @@ def _validator(kind: str):
     jsonschema.validate checks the schema on every call, which costs about
     fifty times as much as validating a report.
     """
+    from jsonschema.validators import validator_for
+
     schema = SCHEMAS[kind]
     cls = validator_for(schema)
     cls.check_schema(schema)
@@ -214,9 +216,14 @@ def validate_report(doc: dict) -> str:
     Returns the kind on success; raises UnknownReportKind or
     jsonschema.ValidationError on failure, the error jsonschema.validate
     would raise, or jsonschema.SchemaError if the kind's schema is bad.
+    jsonschema is imported here, on the first call, so importing this
+    module does not load it; the exception classes are the same.
     """
+    from jsonschema import ValidationError
+    from jsonschema.exceptions import best_match
+
     if not isinstance(doc, dict):
-        raise jsonschema.ValidationError("report must be a JSON object")
+        raise ValidationError("report must be a JSON object")
     kind = doc.get("kind")
     if kind not in SCHEMAS:
         raise UnknownReportKind(kind)

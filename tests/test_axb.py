@@ -7,7 +7,11 @@ the logarithm and the final sum in 60-digit Decimal.
 """
 
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 from axb_oracle import scalar_max_errors
 
+import quasilab
 from quasilab import axb
 from quasilab.axb import (
     IDENTITY,
@@ -573,6 +578,36 @@ def test_suite_memory_does_not_grow_with_its_trials():
             tracemalloc.stop()
 
     assert peak(10 * CHUNK) <= 1.2 * peak(CHUNK)
+
+
+# Ten suites in a fresh interpreter, with numpy imported first or, as the
+# benchmark and the command line do, after the rest of the package; each
+# line is one suite's minor page faults.
+_FAULTS_CHILD = """\
+import resource, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import quasilab.cli
+from quasilab.axb import run_verification_suite
+for _ in range(10):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_verification_suite(trials=400)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("order", ["numpy-last", "numpy-first"])
+def test_suite_runs_fault_no_pages_in_whatever_the_import_order(order):
+    # glibc can hand a wave's freed temporaries back to the kernel, and the
+    # next wave faults them in again: about 1,600 faults a suite, when numpy
+    # loads last, before axb raised the malloc thresholds on import
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasilab.__file__))}
+    child = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, order], env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    faults = [int(line) for line in child.stdout.split()]
+    assert len(faults) == 10
+    assert max(faults[2:]) < 100, faults
 
 
 # ---------------------------------------------------------------------------

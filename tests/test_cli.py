@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import quasilab
-from quasilab import cli
+from quasilab import cli, kunen
 from quasilab.cli import main
 from quasilab.identities import builtin_identity, pretty
 from quasilab.kunen import kunen_scan, modular_scan
@@ -502,6 +502,20 @@ def test_kunen_scan_malformed_checkpoint_is_a_usage_error(tmp_path, capsys):
         assert json.loads(path.read_text()) == doc  # left as it was
 
 
+def test_kunen_scan_refuses_a_checkpoint_in_a_missing_directory(tmp_path, monkeypatch, capsys):
+    # refused before the first orbit is searched, not when its write fails
+    def no_unit(args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(kunen, "_run_unit", no_unit)
+    path = str(tmp_path / "nonexistent" / "x.json")
+    argv = ["kunen-scan", "--order", "6", "--allow-n6", "--builtin", "commutativity",
+            "--checkpoint", path]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and path in err
+
+
 def test_kunen_scan_tampered_checkpoint_is_a_usage_error(tmp_path, capsys):
     """Counts that disagree with the order or with each other are refused.
 
@@ -689,6 +703,52 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     bad = run([sys.executable, "-m", "quasilab", "validate", "--table", str(short)])
     assert (bad.returncode, bad.stdout) == (2, "")
     assert bad.stderr.startswith("error: ")
+
+
+# Runs the command line as python -m does, then writes its exit code and
+# which of LAZY it loaded as the last stderr line.
+LAZY = ("numpy", "jsonschema", "multiprocessing")
+_LOADED_AFTER = f"""\
+import runpy, sys
+try:
+    runpy.run_module("quasilab", run_name="__main__")
+except SystemExit as exit:
+    print(exit.code, *(m for m in {LAZY!r} if m in sys.modules), file=sys.stderr)
+"""
+
+
+def test_commands_load_numpy_jsonschema_and_multiprocessing_only_for_their_use(
+    tables, tmp_path, capsys
+):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasilab.__file__))}
+    run = partial(subprocess.run, capture_output=True, text=True, env=env, timeout=60)
+
+    def fresh(argv) -> tuple:
+        child = run([sys.executable, "-c", _LOADED_AFTER, *argv])
+        code, *loaded = child.stderr.splitlines()[-1].split()
+        return int(code), child.stdout, set(loaded)
+
+    imported = run([sys.executable, "-c",
+                    f"import sys, quasilab.cli; print(*(m for m in {LAZY!r} if m in sys.modules))"])
+    assert (imported.returncode, imported.stdout.split()) == (0, [])
+    for argv in (["--help"], ["kunen-scan", "--order", "3", "--quiet"],
+                 ["validate", "--table", tables["z3"]]):
+        assert fresh(argv)[::2] == (0, set()), argv
+    # the commands that use them load them, and print what they print in process
+    report = str(tmp_path / "z3.json")
+    for argv, needs in ((["axb", "verify", "--trials", "2"], {"numpy"}),
+                        (["validate", "--table", tables["z3"], "--json", report], set()),
+                        (["report-validate", report], {"jsonschema"})):
+        code, out, loaded = fresh(argv)
+        assert (code, loaded) == (0, needs), argv
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out, argv
+    parallel = str(tmp_path / "parallel.json")
+    code, out, loaded = fresh(["kunen-scan", "--order", "4", "--jobs", "2", "--quiet",
+                               "--json", parallel])
+    assert (code, out, loaded) == (0, "", {"multiprocessing"})
+    doc = json.loads(Path(parallel).read_text())
+    assert {**doc, "elapsed": None, "jobs": 1} == {**kunen_scan(4), "elapsed": None}
 
 
 def test_report_validate_round_trip(tables, tmp_path, capsys):

@@ -9,6 +9,7 @@ random squares that relabelling preserves everything a scan tallies.
 import itertools
 import json
 import os
+import re
 from collections import Counter
 from functools import cache
 from math import factorial
@@ -132,6 +133,18 @@ def test_order_limits():
     # sampling at order 6 needs no flag
     r = kunen_scan(6, sample=5, seed=0)
     assert r["total_squares"] == 5
+
+
+def test_a_checkpoint_in_a_missing_directory_is_refused_before_any_unit(monkeypatch, tmp_path):
+    def no_unit(args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(kunen, "_run_unit", no_unit)
+    path = str(tmp_path / "missing" / "x.json")
+    for scan in (kunen_scan, modular_scan):
+        with pytest.raises(ValueError, match=re.escape(path)):
+            scan(3, checkpoint=path)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_unknown_identity_name():
