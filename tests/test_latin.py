@@ -1,4 +1,6 @@
-"""Latin square enumeration: three counting routes plus seeded sampling."""
+"""Latin square enumeration: four counting routes plus seeded sampling."""
+
+from math import factorial
 
 import pytest
 
@@ -15,7 +17,12 @@ from quasilab.latin import (
     sample_latin_squares,
 )
 
-from latin_oracle import count_latin_squares_bruteforce
+from latin_oracle import (
+    LATIN_7,
+    REDUCED_COUNTS,
+    count_latin_squares_bruteforce,
+    count_latin_squares_unreduced,
+)
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280, 6: 812851200}
 
@@ -36,6 +43,29 @@ def test_bruteforce_oracle_matches():
 def test_memoized_oracle_matches_including_order_6():
     for n in range(1, 7):
         assert count_latin_squares_memoized(n) == KNOWN_COUNTS[n]
+
+
+def test_reduced_counter_matches_the_unreduced_oracle():
+    for n in range(1, 7):
+        unreduced = count_latin_squares_unreduced(n)
+        assert unreduced == KNOWN_COUNTS[n]
+        assert count_latin_squares_memoized(n) == unreduced
+
+
+def test_memoized_count_matches_the_published_values():
+    for n in range(1, 8):
+        count = count_latin_squares_memoized(n)
+        assert count == factorial(n) * factorial(n - 1) * REDUCED_COUNTS[n]
+    assert count == LATIN_7
+
+
+def test_reduced_counts_are_the_identity_row_squares_with_column_0_in_order():
+    for n in range(1, 6):
+        squares = []
+        enumerate_with_first_row(n, tuple(range(n)), squares.append)
+        reduced = [sq for sq in squares if all(sq[r][0] == r for r in range(n))]
+        assert len(reduced) == REDUCED_COUNTS[n]
+    assert len(reduced) == 56
 
 
 def test_emission_is_lexicographic_row_major():
@@ -119,10 +149,24 @@ def test_enumeration_order_limit():
     assert (info.value.order, info.value.limit) == (7, FULL_ENUMERATION_LIMIT)
 
 
+@pytest.mark.parametrize("row", [(0, 1), (0, 1, 5), (0, 1, 1), (0, 1, 2, 3)])
+def test_a_first_row_that_is_not_a_permutation_is_refused(row):
+    with pytest.raises(ValueError, match="not a permutation of range"):
+        enumerate_with_first_row(3, row)
+
+
+def test_a_negative_sample_count_is_refused():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        sample_latin_squares(4, -1, seed=0)
+    assert sample_latin_squares(4, 0, seed=0) == []
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_orders_below_1_are_refused(n):
     with pytest.raises(ValueError, match="order must be >= 1"):
         enumerate_latin_squares(n)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        enumerate_with_first_row(n, ())
     with pytest.raises(ValueError, match="order must be >= 1"):
         count_latin_squares_memoized(n)
     with pytest.raises(ValueError, match="order must be >= 1"):
