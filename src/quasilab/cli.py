@@ -366,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="sample seed (default 0)")
     p.add_argument("--allow-n6", action="store_true", help="permit the full order-6 scan")
     p.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes for a full scan"
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="workers for a full scan: this process and N - 1 child processes",
     )
     p.add_argument(
         "--checkpoint",

@@ -18,10 +18,11 @@ preserves every tally a scan keeps (a term identity, loopness).  So a
 work unit is one orbit of first rows: only its smallest row, the
 representative, is searched, and its counts hold for every row of the
 orbit.  Its counterexamples are stored once, and only the loop report's
-dump relabels them into every row (_per_row).  Units split across
-processes, and reports merge deterministically in lexicographic
-first-row order.  A JSON checkpoint file holds one entry per first row,
-rewritten as each orbit finishes, so an interrupted scan resumes.
+dump relabels them into every row (_per_row).  Units split between this
+process and child processes (Pool), and reports merge deterministically
+in lexicographic first-row order.  A JSON checkpoint file holds one
+entry per first row, rewritten as each orbit finishes, so an
+interrupted scan resumes.
 
 A unit does not walk every square of its row.  Its satisfiers come from
 a search in the style of the finite-model builders Mace4 and SEM, which
@@ -59,6 +60,7 @@ from .latin import (
     first_rows,
     sample_latin_squares,
 )
+from .perm import compose_images, invert_images
 
 FULL_SCAN_DEFAULT_LIMIT = 5
 
@@ -100,24 +102,32 @@ def first_row_orbits(n: int) -> list[tuple]:
             continue
         members = {}
         for sigma in sigmas:  # the identity comes first, so rep keeps it
-            members.setdefault(_relabel_row(rep, sigma), sigma)
+            members.setdefault(_relabel_row(rep, sigma, invert_images(sigma)), sigma)
         seen.update(members)
         orbits.append(tuple(sorted(members.items())))
     return orbits
 
 
-def _relabel_row(row, sigma) -> tuple[int, ...]:
-    out = [0] * len(row)
-    for y, v in enumerate(row):
-        out[sigma[y]] = sigma[v]
-    return tuple(out)
+def _relabel_row(row, sigma, inverse) -> tuple[int, ...]:
+    """Row sigma x of the relabelled square, from row x: sigma o row o sigma^-1."""
+    return compose_images(sigma, compose_images(row, inverse))
 
 
-def conjugate(square, sigma) -> tuple[tuple[int, ...], ...]:
-    """The relabelled square T' with T'(sigma x, sigma y) = sigma(T(x, y))."""
-    rows = [None] * len(square)
-    for x, row in enumerate(square):
-        rows[sigma[x]] = _relabel_row(row, sigma)
+def conjugate(square, sigma, relabelled=None) -> tuple[tuple[int, ...], ...]:
+    """The relabelled square T' with T'(sigma x, sigma y) = sigma(T(x, y)).
+
+    relabelled, a dict passed to every call with this sigma, keeps each
+    row's relabelled row, so a row that many squares share is relabelled
+    once.
+    """
+    inverse = invert_images(sigma)
+    relabelled = {} if relabelled is None else relabelled
+    rows = []
+    for row in map(tuple, compose_images(square, inverse)):  # row x goes to place sigma x
+        new = relabelled.get(row)
+        if new is None:
+            new = relabelled[row] = _relabel_row(row, sigma, inverse)
+        rows.append(new)
     return tuple(rows)
 
 
@@ -256,8 +266,8 @@ def _per_row(orbits, completed):
     """
     members = sorted((row, sigma, orbit[0][0]) for orbit in orbits for row, sigma in orbit)
     for row, sigma, rep in members:
-        squares = completed[_row_key(rep)]["counterexamples"]
-        yield row, sorted(conjugate(square, sigma) for square in squares)
+        squares, relabelled = completed[_row_key(rep)]["counterexamples"], {}
+        yield row, sorted(conjugate(square, sigma, relabelled) for square in squares)
 
 
 def _row_key(first_row) -> str:
@@ -362,15 +372,83 @@ def _write_checkpoint(path: str, header: dict, completed: dict):
     os.replace(tmp, path)
 
 
-def Pool(processes: int):
-    """multiprocessing.Pool(processes), imported at the first call.
+class Pool:
+    """Run units on this process and on processes - 1 child processes.
 
-    Only a scan with more than one worker calls it, so no other scan, and
-    no other command, loads multiprocessing.
+    The part of multiprocessing.Pool that _scan uses.  Each worker claims
+    the next unit from a shared counter, so units start in order.  A child
+    sends each result through its own pipe at once; this process yields
+    those waiting between its own units, then the rest.  A child's
+    exception is raised here, and a child that exits nonzero (killed for
+    lack of memory, say) raises RuntimeError instead of leaving its unit
+    waited for.  Leaving the with block terminates and joins every child.
+    They are daemon Processes under the default start method (a fork on
+    Linux, safe as the runner starts no thread); only imap_unordered
+    imports multiprocessing.
     """
-    from multiprocessing import Pool
 
-    return Pool(processes=processes)
+    def __init__(self, processes: int):
+        self.processes, self._readers = processes, {}  # each running child by its pipe
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for reader, child in self._readers.items():
+            child.terminate()
+            child.join()
+            reader.close()
+
+    def imap_unordered(self, fn, items):
+        import multiprocessing as mp
+
+        items, claimed = list(items), mp.Value("i", 0)
+        for _ in range(self.processes - 1):
+            reader, writer = mp.Pipe(duplex=False)
+            child = mp.Process(target=_work, args=(fn, items, claimed, writer), daemon=True)
+            child.start()
+            self._readers[reader] = child
+            writer.close()
+        while (i := _claim(claimed, len(items))) is not None:
+            yield fn(items[i])
+            yield from self._received(0)
+        yield from self._received(None)
+
+    def _received(self, timeout):
+        """Yield what the children have sent, waiting up to timeout (None: until all exit)."""
+        from multiprocessing.connection import wait
+
+        while self._readers and (ready := wait(list(self._readers), timeout)):
+            for reader in ready:
+                try:
+                    failed, value = reader.recv()
+                except EOFError:  # the child has exited
+                    child = self._readers.pop(reader)
+                    reader.close()
+                    child.join()
+                    if child.exitcode:
+                        raise RuntimeError(f"a worker exited with code {child.exitcode}") from None
+                    continue
+                if failed:
+                    raise value
+                yield value
+
+
+def _claim(claimed, count: int) -> int | None:
+    """The index of the next unclaimed item, or None once all are claimed."""
+    with claimed.get_lock():
+        i = claimed.value
+        claimed.value = i + 1
+    return i if i < count else None
+
+
+def _work(fn, items, claimed, writer):
+    """A child of Pool: run the items it claims, sending each result or the exception."""
+    try:
+        while (i := _claim(claimed, len(items))) is not None:
+            writer.send((False, fn(items[i])))
+    except Exception as exc:
+        writer.send((True, exc))
 
 
 def _scan(

@@ -8,8 +8,11 @@ random squares that relabelling preserves everything a scan tallies.
 
 import itertools
 import json
+import multiprocessing
 import os
+import random
 import re
+import time
 from collections import Counter
 from functools import cache
 from math import factorial
@@ -19,6 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quasilab import identities, kunen
+from quasilab.cli import main
 from quasilab.cayley import FiniteQuasigroup, parse_table_text, validate_cayley
 from quasilab.identities import (
     Multiply,
@@ -938,6 +942,29 @@ def test_relabelling_preserves_what_a_scan_tallies(case):
         assert (set(getattr(a, side)) == {1}) == (set(getattr(b, side)) == {1})
 
 
+def _conjugate_by_definition(square, sigma):
+    n = len(square)
+    rows = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[sigma[x]][sigma[y]] = sigma[square[x][y]]
+    return tuple(map(tuple, rows))
+
+
+def test_conjugate_is_the_relabelled_square_by_its_definition():
+    """T'(sigma x, sigma y) = sigma(T(x, y)), for any sigma, fixing 0 or not."""
+    for n in range(1, 8):
+        for seed in range(3):
+            square = sample_latin_squares(n, 1, seed)[0]
+            sigma = tuple(random.Random(seed).sample(range(n), n))
+            assert conjugate(square, sigma) == _conjugate_by_definition(square, sigma)
+    for n in range(1, 5):
+        squares = sample_latin_squares(n, 2, n)
+        for sigma in itertools.permutations(range(n)):
+            for square in squares:
+                assert conjugate(square, sigma) == _conjugate_by_definition(square, sigma)
+
+
 @pytest.mark.parametrize("name", ["N1", "commutativity"])
 def test_checkpoint_bytes_do_not_depend_on_which_orbit_finishes_first(
     tmp_path, monkeypatch, name
@@ -968,3 +995,132 @@ def test_checkpoint_bytes_do_not_depend_on_which_orbit_finishes_first(
 
     monkeypatch.setattr(kunen, "Pool", ReversingPool)
     assert scan(2, tmp_path / "reversed.json") == serial
+
+
+@pytest.mark.parametrize("name", ["N1", "commutativity"])
+def test_three_workers_give_the_serial_report_checkpoint_and_dumps(tmp_path, monkeypatch, name):
+    """jobs=3 runs this process and two children, each unit once."""
+    write, writes = kunen._write_checkpoint, []
+
+    def counting(*args):
+        writes.append(args)
+        write(*args)
+
+    monkeypatch.setattr(kunen, "_write_checkpoint", counting)
+
+    def scan(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        report = kunen_scan(5, jobs=jobs, identity_name=name, checkpoint=str(out / "scan.json"),
+                            counterexample_dir=str(out / "dumps"))
+        files = _dumped(report)
+        del report["elapsed"], report["jobs"], report["counterexample_files"]
+        return report, (out / "scan.json").read_bytes(), files
+
+    serial = scan(1)
+    writes.clear()
+    assert scan(3) == serial
+    assert len(writes) == len(first_row_orbits(5))  # one per unit
+    assert (len(serial[2]) > 0) == (name == "commutativity")
+    assert multiprocessing.active_children() == []
+
+
+def test_two_workers_resume_a_checkpoint_with_three_orbits_missing(tmp_path):
+    path = str(tmp_path / "resume.json")
+    serial = kunen_scan(5, checkpoint=path)
+    with open(path) as fh:
+        data = json.load(fh)
+    whole = dict(data["completed"])
+    orbits = first_row_orbits(5)
+    for orbit in (orbits[0], orbits[4], orbits[-1]):
+        for row, _ in orbit:
+            del data["completed"][_key(row)]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert _fields(kunen_scan(5, jobs=2, checkpoint=path)) == {**_fields(serial), "jobs": 2}
+    with open(path) as fh:
+        assert json.load(fh)["completed"] == whole
+    assert multiprocessing.active_children() == []
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched unit function reaches the children only through a fork",
+)
+
+
+def _fail_in_the_child(monkeypatch, tmp_path, failure, after):
+    """Make the child run failure() in place of the unit after its first `after`.
+
+    This process's first unit waits until the child has failed, so the
+    child surely claims that many units and one more.  The file "failed"
+    names the representative of the unit it failed in; it is written
+    before failure(), which may end the child.
+    """
+    parent, failed, done = os.getpid(), tmp_path / "failed", []
+
+    def unit(args):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 10
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        elif len(done) == after:
+            failed.write_text(_key(args[2][0][0]))
+            failure()
+        done.append(args)
+        return RUN_UNIT(args)
+
+    monkeypatch.setattr(kunen, "_run_unit", unit)
+
+
+@needs_fork
+def test_an_exception_in_a_child_is_raised_in_the_scan(tmp_path, monkeypatch):
+    def failure():
+        raise ValueError("raised in a child")
+
+    _fail_in_the_child(monkeypatch, tmp_path, failure, after=0)
+    with pytest.raises(ValueError, match="raised in a child"):
+        kunen_scan(4, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_dead_child_stops_the_scan_and_the_checkpoint_resumes(tmp_path, monkeypatch):
+    path = str(tmp_path / "scan.json")
+    _fail_in_the_child(monkeypatch, tmp_path, lambda: os._exit(3), after=2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        kunen_scan(4, jobs=2, checkpoint=path)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+    # whole orbits are recorded: this process's first unit and the child's
+    # two before it died at least, and never the unit it died in
+    with open(path) as fh:
+        recorded = set(json.load(fh)["completed"])
+    orbits = [{_key(row) for row, _ in orbit} for orbit in first_row_orbits(4)]
+    kept = [rows for rows in orbits if rows <= recorded]
+    assert set().union(*kept) == recorded
+    assert len(kept) >= 3
+    assert (tmp_path / "failed").read_text() not in recorded
+
+    monkeypatch.setattr(kunen, "_run_unit", RUN_UNIT)
+    assert _fields(kunen_scan(4, checkpoint=path)) == _fields(kunen_scan(4))
+
+
+def test_a_failed_checkpoint_write_stops_the_workers_and_exits_2(tmp_path, monkeypatch, capsys):
+    write, calls = kunen._write_checkpoint, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        write(*args)
+
+    monkeypatch.setattr(kunen, "_write_checkpoint", failing)
+    path = str(tmp_path / "scan.json")
+    assert main(["kunen-scan", "--order", "4", "--jobs", "2", "--checkpoint", path]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: no space left on device\n")
+    assert multiprocessing.active_children() == []
+    with open(path) as fh:
+        assert len(json.load(fh)["completed"]) < 24  # the two writes before the failure
